@@ -25,6 +25,7 @@ from .errors import (
     SearchSpaceTooLarge,
     UniqueMinimalIdeal,
     ValidationError,
+    VerificationFailed,
     ZeroRingRejected,
 )
 from .ideals import (

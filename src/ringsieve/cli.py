@@ -15,15 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, config
-from .errors import RingSieveError
+from .errors import AlreadyChainLocalProduct, RingSieveError
 from .ideals import all_ideals, ideal_generated
 from .localstruct import classify
-from .orders import (
-    nonmaximality_probe,
-    parse_order_text,
-    push_to_quotient,
-    rogers_check_order,
-)
+from .orders import nonmaximality_probe, parse_order_text, rogers_check_order
 from .rings import Element, parse_ring_text
 from .rogers import counterexample, rogers_check, theorem2_verify
 from .sieve import Progression, rogers_min_density, union_density
@@ -116,13 +111,13 @@ def _witness_records(witness):
 def dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = config.RunConfig(
-        carrier_bound=args.carrier_bound,
-        tuple_cap=args.tuple_cap,
-        worker_count=args.workers,
-        output_format=args.format,
-    )
     try:
+        cfg = config.RunConfig(
+            carrier_bound=args.carrier_bound,
+            tuple_cap=args.tuple_cap,
+            worker_count=args.workers,
+            output_format=args.format,
+        )
         return args.handler(args, cfg)
     except RingSieveError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -167,13 +162,9 @@ def _cmd_classify(args, cfg):
         ("offending_factor",
          "none" if verdict.offending_factor is None else verdict.offending_factor),
     ])]
-    # per-factor table uses a fresh decomposition only through the verdict
-    from .localstruct import local_decomposition
-
-    decomp = local_decomposition(ring)
     for idx, is_loc, chain in verdict.per_factor:
         records.append((f"factor_{idx}", [
-            ("order", decomp.factors[idx].order),
+            ("order", verdict.decomposition.factors[idx].order),
             ("local", is_loc),
             ("chain", chain),
         ]))
@@ -198,8 +189,6 @@ def _cmd_rogers_check(args, cfg):
 
 def _cmd_counterexample(args, cfg):
     ring = _load_source(args.ring, "ring", cfg)
-    from .errors import AlreadyChainLocalProduct
-
     try:
         witness = counterexample(ring)
     except AlreadyChainLocalProduct:
@@ -223,10 +212,10 @@ def _cmd_order_check(args, cfg):
     if not gen_lists:
         raise RingSieveError("need at least one --ideal")
     shifts = _parse_vectors(args.shifts) if args.shifts else None
-    _, common, ring, _, _ = push_to_quotient(order, gen_lists)
     report = rogers_check_order(
         order, gen_lists, shifts=shifts, tuple_cap=cfg.tuple_cap, workers=cfg.worker_count
     )
+    ring = report.ideals[0].ring
     extra = [
         ("quotient_order", ring.order),
         ("quotient_invariants", list(ring.invariant_factors)),

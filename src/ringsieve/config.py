@@ -16,14 +16,6 @@ PERIOD_CAP = 1_000_000
 # Largest rank accepted for an order presentation.
 ORDER_RANK_BOUND = 8
 
-# Carrier size up to which the full multiplication table is cached (the
-# table costs order^2 ints, so this stays small).  The cache is purely a
-# speed knob: results are identical with and without.
-MUL_TABLE_THRESHOLD = 128
-
-# Default conductor bound for the non-maximality probe.
-PROBE_BOUND_DEFAULT = 16
-
 
 @dataclass
 class RunConfig:
@@ -31,12 +23,11 @@ class RunConfig:
 
     carrier_bound: int = CARRIER_BOUND
     tuple_cap: int = TUPLE_CAP
-    probe_bound: int = PROBE_BOUND_DEFAULT
     worker_count: int = 1
     output_format: str = "human"  # "human" | "machine"
 
     def __post_init__(self):
-        if self.carrier_bound < 1 or self.tuple_cap < 1 or self.probe_bound < 1:
+        if self.carrier_bound < 1 or self.tuple_cap < 1:
             raise ValueError("all bounds must be positive")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")

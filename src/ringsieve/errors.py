@@ -51,6 +51,11 @@ class SearchSpaceTooLarge(RingSieveError):
         self.cap = cap
 
 
+class VerificationFailed(RingSieveError):
+    """Re-verification of a computed result (a witness, a decomposition, a
+    minimum) disagreed with the result: an internal inconsistency."""
+
+
 class NotLocal(RingSieveError):
     """Operation requires a local ring."""
 

@@ -6,8 +6,6 @@ of a matrix are understood to generate a lattice (row span over Z).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .errors import RankDeficient
 
@@ -128,6 +126,18 @@ def lattice_contains(basis, vec) -> bool:
     return True
 
 
+def lattice_reduce(basis, vec) -> tuple[int, ...]:
+    """Canonical representative of ``vec`` modulo a full-rank HNF lattice."""
+    v = [int(x) for x in vec]
+    n = len(v)
+    for i in range(n):
+        q = v[i] // basis[i][i]
+        if q:
+            for j in range(i, n):
+                v[j] -= q * basis[i][j]
+    return tuple(v)
+
+
 def lattice_sum(b1, b2, n: int) -> tuple[tuple[int, ...], ...]:
     """HNF basis of the lattice generated by both bases."""
     return hnf_full_rank(list(b1) + list(b2), n)
@@ -186,11 +196,13 @@ def kernel(rows: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...;
+    ``vinv`` is the inverse of V."""
 
     u: tuple[tuple[int, ...], ...]
     d: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
+    vinv: tuple[tuple[int, ...], ...]
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -200,17 +212,19 @@ class SnfResult:
 
 
 def snf(mat) -> SnfResult:
-    """Smith normal form with both transforms.
+    """Smith normal form with both transforms and the inverse of V.
 
     Classic pivoting algorithm: move a minimal nonzero entry to the corner,
     clear its row and column, fix divisibility defects, recurse on the
-    remaining block.  All arithmetic is arbitrary precision.
+    remaining block.  Every column operation on V is mirrored by the
+    inverse row operation on V^-1.  All arithmetic is arbitrary precision.
     """
     a = [list(r) for r in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    vinv = [row[:] for row in v]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -221,6 +235,7 @@ def snf(mat) -> SnfResult:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def addmul_row(dst, src, q):
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
@@ -231,6 +246,7 @@ def snf(mat) -> SnfResult:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        vinv[src] = [x - q * y for x, y in zip(vinv[src], vinv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -287,80 +303,5 @@ def snf(mat) -> SnfResult:
         u=tuple(tuple(r) for r in u),
         d=tuple(tuple(r) for r in a),
         v=tuple(tuple(r) for r in v),
+        vinv=tuple(tuple(r) for r in vinv),
     )
-
-
-def mat_mul(a, b) -> Matrix:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                oi[j] += c * bk[j]
-    return out
-
-
-def det_bareiss(mat) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    a = [list(r) for r in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def invert_unimodular(mat) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in vals])
-    return out
-
-
-def content(rows) -> int:
-    """gcd of all entries."""
-    g = 0
-    for r in rows:
-        for x in r:
-            g = gcd(g, x)
-    return g

@@ -6,12 +6,12 @@ linearly ordered ideals.  Factors are materialized as standalone rings
 (quotients by the complementary idempotent's ideal), never as views.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import intmat
-from .errors import ZeroRingRejected
+from .errors import VerificationFailed, ZeroRingRejected
 from .ideals import Ideal, ideal_generated, is_chain
 from .rings import Element, FiniteRing, RingHom, make_product, make_quotient
 
@@ -33,9 +33,12 @@ class LocalDecomposition:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
+    """The chain-local test, with the decomposition it was computed from."""
+
     is_chain_local_product: bool
     per_factor: tuple[tuple[int, bool, bool], ...]  # (index, is_local, is_chain)
     offending_factor: int | None
+    decomposition: LocalDecomposition = field(compare=False, repr=False)
 
 
 def _reject_zero(ring: FiniteRing):
@@ -45,8 +48,10 @@ def _reject_zero(ring: FiniteRing):
 
 def idempotents(ring: FiniteRing) -> list[Element]:
     """All e with e*e = e, in carrier order (whole carrier squared at once)."""
-    coords = ring._coords
-    squares = np.einsum("ni,nj,ijl->nl", coords, coords, ring._sc) % ring._df
+    coords, df = ring._coords, ring._df
+    # reduce between the two products: x*x*c in one step wraps int64 for large moduli
+    mats = np.einsum("ni,ijl->njl", coords, ring._sc) % df
+    squares = np.einsum("nj,njl->nl", coords, mats) % df
     hits = np.nonzero(np.all(squares == coords, axis=1))[0]
     return [ring.element_at(int(i)) for i in hits]
 
@@ -109,10 +114,12 @@ def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
     total = 1
     for f in factors:
         total *= f.order
-    assert total == ring.order, "factor orders do not multiply to |R|"
+    if total != ring.order:
+        raise VerificationFailed("factor orders do not multiply to |R|")
     for f in factors:
         ok, _ = is_local(f)
-        assert ok, "decomposition produced a non-local factor"
+        if not ok:
+            raise VerificationFailed("decomposition produced a non-local factor")
     return LocalDecomposition(
         ring=ring,
         idempotents=tuple(prim),
@@ -136,10 +143,12 @@ def _verify_product_iso(ring: FiniteRing, factors, embeddings):
         for i in range(ring.k)
     ]
     hom = RingHom(ring, product, basis_images)
-    assert np.array_equal(hom.index_map(), combined), "combined map is not additive"
+    if not np.array_equal(hom.index_map(), combined):
+        raise VerificationFailed("combined map is not additive")
     seen = np.zeros(product.order, dtype=bool)
     seen[combined] = True
-    assert bool(np.all(seen)), "decomposition map is not onto the product"
+    if not bool(np.all(seen)):
+        raise VerificationFailed("decomposition map is not onto the product")
 
 
 def _combine_map(ring, factors, embeddings, product, projections) -> np.ndarray:
@@ -175,4 +184,5 @@ def classify(ring: FiniteRing) -> ClassificationVerdict:
         is_chain_local_product=offending is None,
         per_factor=tuple(per_factor),
         offending_factor=offending,
+        decomposition=decomp,
     )

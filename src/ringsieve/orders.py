@@ -21,13 +21,12 @@ from .errors import (
     NotCommutative,
     RankDeficient,
     ValidationError,
-    ZeroRingRejected,
+    VerificationFailed,
 )
 from .ideals import Ideal, ideal_from_members
-from .intmat import SnfResult, hnf, snf  # re-exported: the canonical-form operations
 from .localstruct import classify
-from .rings import Element, FiniteRing, RingPresentation, validate_ring
-from .rogers import RogersReport, Witness, counterexample, rogers_check
+from .rings import Element, FiniteRing, canonical_quotient, project
+from .rogers import RogersReport, Witness, _witness_from_verdict, rogers_check
 
 Vec = tuple[int, ...]
 
@@ -67,13 +66,7 @@ class IntegerLattice:
 
     def reduce(self, vec) -> Vec:
         """Canonical representative of vec modulo the lattice."""
-        v = [int(x) for x in vec]
-        for i in range(self.n):
-            q = v[i] // self.basis[i][i]
-            if q:
-                for j in range(i, self.n):
-                    v[j] -= q * self.basis[i][j]
-        return tuple(v)
+        return intmat.lattice_reduce(self.basis, vec)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerLattice) and other.basis == self.basis
@@ -197,13 +190,7 @@ class OrderProjection:
         self._section_rows = section_rows
 
     def __call__(self, vec) -> Element:
-        n = self.order.rank
-        df = self.ring.invariant_factors
-        coords = tuple(
-            sum(int(vec[r]) * self._proj_cols[r][t] for r in range(n)) % df[t]
-            for t in range(self.ring.k)
-        )
-        return Element(self.ring, coords)
+        return Element(self.ring, project(self._proj_cols, self.ring.invariant_factors, vec))
 
     def section(self, el: Element) -> Vec:
         """Canonical integer lift of a quotient element."""
@@ -242,29 +229,9 @@ def order_quotient(
         for b in basis[1:]:
             if not lattice.contains(order.mul(row, b)):
                 raise NotAnIdeal(f"lattice row {row} times basis {b} escapes the lattice")
-    res = intmat.snf(lattice.basis)
-    diag = res.diagonal
-    kept = [i for i in range(n) if diag[i] > 1]
-    if not kept:
-        raise ZeroRingRejected("quotient by the unit ideal is the order-1 ring")
-    df_new = tuple(int(diag[i]) for i in kept)
-    v = [list(r) for r in res.v]
-    vinv = intmat.invert_unimodular(v)
-    proj_cols = [[v[r][kept[t]] % df_new[t] for t in range(len(kept))] for r in range(n)]
-    section_rows = [lattice.reduce(vinv[kept[t]]) for t in range(len(kept))]
-
-    def proj_vec(vec):
-        return tuple(
-            sum(int(vec[r]) * proj_cols[r][t] for r in range(n)) % df_new[t]
-            for t in range(len(kept))
-        )
-
-    sc = {}
-    for t in range(len(kept)):
-        for u in range(t, len(kept)):
-            sc[(t, u)] = proj_vec(order.mul(section_rows[t], section_rows[u]))
-    pres = RingPresentation(df_new, sc, proj_vec(order.one))
-    ring = validate_ring(pres, carrier_bound=carrier_bound)
+    ring, proj_cols, section_rows = canonical_quotient(
+        lattice.basis, lattice.basis, order.mul, order.one, carrier_bound
+    )
     return ring, OrderProjection(order, lattice, ring, proj_cols, section_rows)
 
 
@@ -330,9 +297,10 @@ def nonmaximality_probe(
     for conductor in range(2, bound + 1):
         principal = order_ideal(order, [tuple(conductor if l == 0 else 0 for l in range(n))])
         ring, proj = order_quotient(order, principal)
-        if classify(ring).is_chain_local_product:
+        verdict = classify(ring)
+        if verdict.is_chain_local_product:
             continue
-        witness = counterexample(ring)
+        witness = _witness_from_verdict(verdict)
         lifted_gens = []
         for ideal in witness.ideals:
             gens = [proj.section(g) for g in ideal.generators]
@@ -342,7 +310,8 @@ def nonmaximality_probe(
         report = rogers_check_order(
             order, lifted_gens, shifts=lifted_shifts, tuple_cap=tuple_cap
         )
-        assert not report.satisfied, "lifted witness failed re-verification"
+        if report.satisfied:
+            raise VerificationFailed("lifted witness failed re-verification")
         return ProbeWitness(
             conductor=conductor,
             quotient=ring,
@@ -370,10 +339,14 @@ def parse_order_text(text: str, rank_bound: int = config.ORDER_RANK_BOUND) -> Or
         if parts[0] == "order":
             if rank is not None:
                 raise ValidationError(f"line {lineno}: duplicate order header")
+            if len(parts) < 2:
+                raise ValidationError(f"line {lineno}: order header needs a rank")
             rank = int(parts[1])
         elif parts[0] == "mul":
             if rank is None:
                 raise ValidationError(f"line {lineno}: mul before order header")
+            if len(parts) < 3:
+                raise ValidationError(f"line {lineno}: malformed mul line")
             i, j = int(parts[1]) - 1, int(parts[2]) - 1
             vec = tuple(int(x) for x in parts[3:])
             if not (1 <= i <= j < rank) or len(vec) != rank:

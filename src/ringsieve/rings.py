@@ -128,10 +128,7 @@ class FiniteRing:
         self.zero = Element(self, (0,) * self.k)
         self.is_zero = self.order == 1
         self._coords_cache: np.ndarray | None = None
-        self._table: np.ndarray | None = None
         self._ideal_cache = None  # filled lazily by ideals.all_ideals
-        if self.order <= config.MUL_TABLE_THRESHOLD:
-            self._build_table()
 
     # -- carrier bookkeeping ------------------------------------------------
 
@@ -189,24 +186,17 @@ class FiniteRing:
         return self.index_of(tuple(a + b for a, b in zip(ci, cj)))
 
     def mul_idx(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return self._mul_idx_nocache(i, j)
+        return int(self.mul_coords(self._coords[i], self._coords[j]) @ self._weights)
 
-    def _mul_idx_nocache(self, i: int, j: int) -> int:
-        xi = self._coords[i]
-        yj = self._coords[j]
-        vec = np.einsum("i,j,ijl->l", xi, yj, self._sc) % self._df
-        return int(vec @ self._weights)
+    def mul_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Coordinates of x*y for reduced int64 coordinate vectors.
 
-    def _build_table(self):
-        n, coords = self.order, self._coords
-        table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            mat = np.tensordot(coords[i], self._sc, axes=(0, 0))  # (k, k)
-            prods = (coords @ mat) % self._df
-            table[i] = prods @ self._weights
-        self._table = table
+        Reducing after each product keeps every intermediate below k*d^2,
+        where x*y*c would reach d^3 and wrap int64 for large moduli.
+        """
+        k = self.k
+        mat = (x @ self._sc.reshape(k, k * k)).reshape(k, k) % self._df
+        return (y @ mat) % self._df
 
     def mul_matrix(self, idx: int) -> np.ndarray:
         """k x k matrix whose row i is coords(b_i * x); y*x = coords(y) @ M."""
@@ -214,24 +204,16 @@ class FiniteRing:
 
     def basis_product_rows(self, idx: int) -> list[list[int]]:
         """Integer rows [b_1*x, ..., b_k*x]; additive span is the principal ideal (x)."""
-        mat = np.tensordot(self._coords[idx], self._sc, axes=(0, 1)) % self._df
-        return [[int(v) for v in row] for row in mat]
+        return self.mul_matrix(idx).tolist()
 
     def diag_rows(self) -> list[list[int]]:
         """Relation rows d_i * e_i of the coordinate lattice."""
-        return [
-            [self.invariant_factors[i] if j == i else 0 for j in range(self.k)]
-            for i in range(self.k)
-        ]
+        return _diag(self.invariant_factors)
 
     def add_to_all(self, idx: int, members: np.ndarray) -> np.ndarray:
         """Indices of x + m for every m in ``members`` (vectorized coset shift)."""
         shifted = (self._coords[idx] + self._coords[members]) % self._df
         return shifted @ self._weights
-
-    def scale_idx(self, c: int, idx: int) -> int:
-        coords = (c * self._coords[idx]) % self._df
-        return int(coords @ self._weights)
 
     def __repr__(self) -> str:
         dstr = "x".join(map(str, self.invariant_factors))
@@ -311,8 +293,7 @@ def validate_ring(
 
     # unit law on every carrier element
     u = np.array(canon.unit, dtype=np.int64)
-    mat = np.tensordot(u, scarr, axes=(0, 0))
-    prods = (ring._coords @ mat) % dfarr
+    prods = ring.mul_coords(u, ring._coords)
     ok = np.all(prods == ring._coords, axis=1)
     if not bool(np.all(ok)):
         first = int(np.argmin(ok))
@@ -364,9 +345,7 @@ class RingHom:
         for i in range(s.k):
             for j in range(i, s.k):
                 lhs = (s._sc[i, j] @ self.matrix) % t._df
-                rhs = np.einsum(
-                    "i,j,ijl->l", self.matrix[i], self.matrix[j], t._sc
-                ) % t._df
+                rhs = t.mul_coords(self.matrix[i], self.matrix[j])
                 if not np.array_equal(lhs, rhs):
                     raise ValidationError(
                         f"multiplication not preserved on basis pair ({i+1},{j+1})"
@@ -389,23 +368,6 @@ class RingHom:
     def kernel_indices(self) -> np.ndarray:
         return np.nonzero(self.index_map() == 0)[0]
 
-    def is_bijective(self) -> bool:
-        if self.source.order != self.target.order:
-            return False
-        return len(np.unique(self.index_map())) == self.source.order
-
-    def check_exhaustive(self) -> bool:
-        """Carrier-level check that +, * and 1 are preserved on all pairs."""
-        s = self.source
-        imap = self.index_map()
-        for i in range(s.order):
-            for j in range(s.order):
-                if imap[s.add_idx(i, j)] != self.target.add_idx(int(imap[i]), int(imap[j])):
-                    return False
-                if imap[s.mul_idx(i, j)] != self.target.mul_idx(int(imap[i]), int(imap[j])):
-                    return False
-        return self.apply(s.unit) == self.target.unit
-
     def section(self, y: Element) -> Element:
         """Canonical preimage under the attached section (quotient maps only)."""
         if self._section is None:
@@ -424,49 +386,47 @@ class RingHom:
         return f"RingHom({self.source!r} -> {self.target!r})"
 
 
-def _canonicalize(dvec, extra_relations, mul_vec, unit_vec, carrier_bound):
+def canonical_quotient(relations, reducer, mul_vec, unit_vec, carrier_bound):
     """Rebuild (Z^m / relations, mul) as a canonical invariant-factor ring.
 
-    ``dvec`` are the ambient coordinate moduli, ``extra_relations`` additional
-    lattice rows (the diagonal rows are always included), ``mul_vec`` an exact
-    integer multiplication on ambient coordinate vectors.  Returns the ring,
-    the projection matrix/moduli, and the integer section matrix.
+    ``relations`` is a full-rank HNF lattice in Z^m.  The Smith normal form
+    U * relations * V = D gives the new invariant factors; x -> (x @ V)[kept]
+    is the projection and the kept rows of V^-1, reduced modulo the HNF
+    lattice ``reducer``, are the section rows (the integer representatives
+    of the new basis vectors).  ``mul_vec`` multiplies ambient integer
+    vectors exactly.  Returns the validated ring, the projection columns
+    (``proj_cols[r][t]``, pre-reduced) and the section rows.
     """
-    m = len(dvec)
-    diag = [[dvec[i] if j == i else 0 for j in range(m)] for i in range(m)]
-    rel = intmat.hnf_full_rank(list(extra_relations) + diag, m)
-    res = intmat.snf(rel)
-    diag_new = res.diagonal
-    kept = [i for i in range(m) if diag_new[i] > 1]
+    m = len(relations)
+    res = intmat.snf(relations)
+    kept = [i for i, d in enumerate(res.diagonal) if d > 1]
     if not kept:
-        raise ZeroRingRejected("quotient collapses to the order-1 ring")
-    df_new = tuple(int(diag_new[i]) for i in kept)
-    v = [list(r) for r in res.v]
-    vinv = intmat.invert_unimodular(v)
-    # projection: x -> (x @ V)[kept] mod df_new; columns may be pre-reduced
-    proj_cols = [[v[r][c] % df_new[t] for t, c in enumerate(kept)] for r in range(m)]
+        raise ZeroRingRejected("quotient by the unit ideal is the order-1 ring")
+    df_new = tuple(int(res.diagonal[i]) for i in kept)
+    proj_cols = [[res.v[r][c] % d for c, d in zip(kept, df_new)] for r in range(m)]
+    section_rows = [intmat.lattice_reduce(reducer, res.vinv[c]) for c in kept]
 
     def proj(vec):
-        return tuple(
-            sum(int(vec[r]) * proj_cols[r][t] for r in range(m)) % df_new[t]
-            for t in range(len(kept))
-        )
+        return project(proj_cols, df_new, vec)
 
-    # section: canonical integer representative of each new basis vector
-    section_rows = [[vinv[kept[t]][c] % dvec[c] for c in range(m)] for t in range(len(kept))]
-    new_basis = section_rows
     sc = {}
     for t in range(len(kept)):
         for u in range(t, len(kept)):
-            sc[(t, u)] = proj(mul_vec(new_basis[t], new_basis[u]))
-    pres = RingPresentation(
-        invariant_factors=df_new,
-        structure_constants=sc,
-        unit=proj(unit_vec),
+            sc[(t, u)] = proj(mul_vec(section_rows[t], section_rows[u]))
+    pres = RingPresentation(df_new, sc, proj(unit_vec))
+    return validate_ring(pres, carrier_bound=carrier_bound), proj_cols, section_rows
+
+
+def project(proj_cols, df, vec) -> Coords:
+    """Coordinates of ``vec @ proj_cols`` reduced modulo ``df``."""
+    return tuple(
+        sum(int(vec[r]) * proj_cols[r][t] for r in range(len(proj_cols))) % d
+        for t, d in enumerate(df)
     )
-    ring = validate_ring(pres, carrier_bound=carrier_bound)
-    proj_matrix = [[proj_cols[r][t] for t in range(len(kept))] for r in range(m)]
-    return ring, proj_matrix, section_rows
+
+
+def _diag(dvec) -> list[list[int]]:
+    return [[d if j == i else 0 for j in range(len(dvec))] for i, d in enumerate(dvec)]
 
 
 def make_product(
@@ -489,32 +449,22 @@ def make_product(
     for f in factors:
         offsets.append(len(dvec))
         dvec.extend(f.invariant_factors)
-    m = len(dvec)
 
     def mul_vec(a, b):
-        out = [0] * m
+        out = []
         for f, off in zip(factors, offsets):
-            k = f.k
-            xa = np.array([a[off + i] % f.invariant_factors[i] for i in range(k)], dtype=np.int64)
-            xb = np.array([b[off + i] % f.invariant_factors[i] for i in range(k)], dtype=np.int64)
-            prod = np.einsum("i,j,ijl->l", xa, xb, f._sc) % f._df
-            for i in range(k):
-                out[off + i] = int(prod[i])
+            xa = np.array(a[off:off + f.k], dtype=np.int64) % f._df
+            xb = np.array(b[off:off + f.k], dtype=np.int64) % f._df
+            out.extend(int(c) for c in f.mul_coords(xa, xb))
         return out
 
-    unit_vec = [0] * m
-    for f, off in zip(factors, offsets):
-        for i, c in enumerate(f.unit.coords):
-            unit_vec[off + i] = c
-
-    ring, proj_matrix, section_rows = _canonicalize(dvec, [], mul_vec, unit_vec, carrier_bound)
+    unit_vec = [c for f in factors for c in f.unit.coords]
+    diag = _diag(dvec)
+    ring, _, section_rows = canonical_quotient(diag, diag, mul_vec, unit_vec, carrier_bound)
 
     projections = []
     for f, off in zip(factors, offsets):
-        images = []
-        for t in range(ring.k):
-            vec = section_rows[t]
-            images.append(Element(f, tuple(vec[off + i] for i in range(f.k))))
+        images = [Element(f, tuple(row[off:off + f.k])) for row in section_rows]
         projections.append(RingHom(ring, f, images))
     return ring, projections
 
@@ -529,19 +479,12 @@ def make_quotient(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingHom]:
     def mul_vec(a, b):
         xa = np.array(a, dtype=np.int64) % ring._df
         xb = np.array(b, dtype=np.int64) % ring._df
-        prod = np.einsum("i,j,ijl->l", xa, xb, ring._sc) % ring._df
-        return [int(v) for v in prod]
+        return ring.mul_coords(xa, xb).tolist()
 
-    quotient, proj_matrix, section_rows = _canonicalize(
-        list(ring.invariant_factors),
-        [list(r) for r in ideal.lattice],
-        mul_vec,
-        list(ring.unit.coords),
-        carrier_bound=ring.order,
+    quotient, proj_cols, section_rows = canonical_quotient(
+        ideal.lattice, ring.diag_rows(), mul_vec, list(ring.unit.coords), ring.order
     )
-    images = [
-        Element(quotient, tuple(row)) for row in np.array(proj_matrix, dtype=np.int64)
-    ]
+    images = [Element(quotient, row) for row in proj_cols]
     pi = RingHom(ring, quotient, images, section_matrix=section_rows)
     kernel = pi.kernel_indices()
     if len(kernel) != ideal.size or mask_from_indices(ring.order, kernel) != ideal.mask:
@@ -571,6 +514,8 @@ def parse_ring_text(text: str, carrier_bound: int = config.CARRIER_BOUND) -> Fin
         if parts[0] == "ring":
             if k is not None:
                 raise ValidationError(f"line {lineno}: duplicate ring header")
+            if len(parts) < 2:
+                raise ValidationError(f"line {lineno}: ring header needs a rank")
             k = int(parts[1])
             df = tuple(int(x) for x in parts[2:])
             if len(df) != k:
@@ -578,6 +523,8 @@ def parse_ring_text(text: str, carrier_bound: int = config.CARRIER_BOUND) -> Fin
         elif parts[0] == "mul":
             if k is None:
                 raise ValidationError(f"line {lineno}: mul before ring header")
+            if len(parts) < 3:
+                raise ValidationError(f"line {lineno}: malformed mul line")
             i, j = int(parts[1]) - 1, int(parts[2]) - 1
             vec = tuple(int(x) for x in parts[3:])
             if not (0 <= i <= j < k) or len(vec) != k:

@@ -14,20 +14,20 @@ Conventions (all load-bearing for determinism):
     the mixed-radix carrier enumeration, and the first minimizer wins.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from . import config, intmat
-from .bitset import lowest_bit, mask_from_indices
+from .bitset import lowest_bit, mask_from_indices, min_union_scan
 from .errors import (
     AlreadyChainLocalProduct,
     NotLocal,
     SearchSpaceTooLarge,
     UniqueMinimalIdeal,
     ValidationError,
+    VerificationFailed,
     ZeroRingRejected,
 )
 from .ideals import (
@@ -39,7 +39,7 @@ from .ideals import (
     ideal_sum,
     ideal_from_members,
 )
-from .localstruct import classify, is_local, local_decomposition
+from .localstruct import ClassificationVerdict, classify, is_local
 from .rings import Element, FiniteRing, make_quotient
 
 
@@ -167,42 +167,9 @@ def rogers_check(
     if total > tuple_cap:
         raise SearchSpaceTooLarge(total, tuple_cap)
 
-    first_mask = ideals[0].mask
-
-    def scan(lo: int, hi: int) -> tuple[int, int]:
-        best_val = None
-        best_rank = -1
-        sizes = [len(r) for r in rep_lists]
-        for rank in range(lo, hi):
-            t = rank
-            mask = first_mask
-            for j, size in enumerate(sizes):
-                mask |= coset_masks[j][t % size]
-                t //= size
-            val = mask.bit_count()
-            if best_val is None or val < best_val:
-                best_val = val
-                best_rank = rank
-        return best_val, best_rank
-
-    if workers <= 1 or total < 4:
-        best_val, best_rank = scan(0, total)
-    else:
-        chunk = -(-total // workers)
-        bounds = [(i * chunk, min((i + 1) * chunk, total)) for i in range(workers)]
-        bounds = [(lo, hi) for lo, hi in bounds if lo < hi]
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            results = list(pool.map(lambda b: scan(*b), bounds))
-        best_val, best_rank = None, -1
-        for val, rank in results:  # chunks are rank-ordered; first minimum wins
-            if val is not None and (best_val is None or val < best_val):
-                best_val, best_rank = val, rank
-
+    best_val, digits = min_union_scan(ideals[0].mask, coset_masks, workers)
     shift_els = [ring.zero]
-    t = best_rank
-    for j, reps in enumerate(rep_lists):
-        shift_els.append(ring.element_at(reps[t % len(reps)]))
-        t //= len(reps)
+    shift_els += [ring.element_at(reps[d]) for reps, d in zip(rep_lists, digits)]
     return RogersReport(
         ideals=ideals,
         baseline=baseline,
@@ -270,20 +237,25 @@ def counterexample(ring: FiniteRing) -> Witness:
     the unique minimal ideal, recurse, and pull the witness back through
     the projection; finally embed into the full ring and re-verify.
     """
-    verdict = classify(ring)
+    return _witness_from_verdict(classify(ring))
+
+
+def _witness_from_verdict(verdict: ClassificationVerdict) -> Witness:
+    """The witness of :func:`counterexample`, built on the verdict's decomposition."""
     if verdict.is_chain_local_product:
         raise AlreadyChainLocalProduct("every local factor has linearly ordered ideals")
-    decomp = local_decomposition(ring)
+    decomp = verdict.decomposition
+    ring = decomp.ring
     fidx = verdict.offending_factor
-    factor = decomp.factors[fidx]
-    local_witness = _local_witness(factor)
-    if len(decomp.factors) == 1:
-        # local ring: translate through the (bijective) projection
-        witness = _pull_back(ring, decomp.embeddings[fidx], local_witness)
-    else:
-        witness = _embed_witness(ring, decomp, fidx, local_witness)
+    proj = decomp.embeddings[fidx]
+    local_witness = _local_witness(decomp.factors[fidx])
+    # preimages are I_j x (the other factors); e * section(s) lifts each shift
+    e = decomp.idempotents[fidx]
+    shifts = tuple(ring.mul(e, proj.section(s)) for s in local_witness.shifts)
+    witness = _pull_back(ring, proj, local_witness, shifts)
     report = rogers_check(ring, witness.ideals, shifts=witness.shifts)
-    assert report.minimum == witness.union_shifted and report.baseline == witness.union_baseline
+    if report.minimum != witness.union_shifted or report.baseline != witness.union_baseline:
+        raise VerificationFailed("counterexample failed re-verification")
     return witness
 
 
@@ -297,11 +269,12 @@ def _local_witness(ring: FiniteRing) -> Witness:
     socle = annihilator(maximal)
     quotient, proj = make_quotient(ring, socle)  # socle = unique minimal ideal here
     inner = counterexample(quotient)
-    return _pull_back(ring, proj, inner)
+    shifts = tuple(proj.smallest_preimage(s) for s in inner.shifts)
+    return _pull_back(ring, proj, inner, shifts)
 
 
-def _pull_back(ring: FiniteRing, proj, witness: Witness) -> Witness:
-    """Full preimages of the ideals, least preimages of the shifts."""
+def _pull_back(ring: FiniteRing, proj, witness: Witness, shifts) -> Witness:
+    """Full preimages of the witness ideals under ``proj``, with the given shifts."""
     imap = proj.index_map()
     ideals = []
     for ideal in witness.ideals:
@@ -310,29 +283,6 @@ def _pull_back(ring: FiniteRing, proj, witness: Witness) -> Witness:
         )
         members = np.nonzero(member_flags[imap])[0]
         ideals.append(ideal_from_members(ring, members))
-    shifts = tuple(proj.smallest_preimage(s) for s in witness.shifts)
-    report = rogers_check(ring, tuple(ideals), shifts=shifts)
-    return Witness(
-        ideals=tuple(ideals),
-        shifts=shifts,
-        union_shifted=report.minimum,
-        union_baseline=report.baseline,
-    )
-
-
-def _embed_witness(ring: FiniteRing, decomp, fidx: int, witness: Witness) -> Witness:
-    """Inflate a factor witness to the full ring: I_j x (everything else)."""
-    proj = decomp.embeddings[fidx]
-    imap = proj.index_map()
-    ideals = []
-    for ideal in witness.ideals:
-        member_flags = np.array(
-            [(ideal.mask >> int(t)) & 1 for t in range(proj.target.order)], dtype=bool
-        )
-        members = np.nonzero(member_flags[imap])[0]
-        ideals.append(ideal_from_members(ring, members))
-    e = decomp.idempotents[fidx]
-    shifts = tuple(ring.mul(e, proj.section(s)) for s in witness.shifts)
     report = rogers_check(ring, tuple(ideals), shifts=shifts)
     return Witness(
         ideals=tuple(ideals),
@@ -422,7 +372,8 @@ def theorem2_verify(
                     v = ring.element_at(lowest_bit(gap))
                     shifts = (ring.zero, ring.zero, v)
                     confirm = rogers_check(ring, (ideals[a], ideals[b], ideals[c]), shifts=shifts)
-                    assert not confirm.satisfied, "pattern criterion disagrees with evaluation"
+                    if confirm.satisfied:
+                        raise VerificationFailed("pattern criterion disagrees with evaluation")
                     return False
 
     if r_max > 3:

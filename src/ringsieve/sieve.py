@@ -14,7 +14,8 @@ from math import lcm
 import numpy as np
 
 from . import config
-from .errors import PeriodTooLarge, SearchSpaceTooLarge
+from .bitset import min_union_scan
+from .errors import PeriodTooLarge, SearchSpaceTooLarge, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -90,48 +91,13 @@ def rogers_min_density(
     if total > tuple_cap:
         raise SearchSpaceTooLarge(total, tuple_cap)
 
-    shift_masks = [
-        [_progression_mask(period, s, q) for s in range(q)] for q in moduli
-    ]
-    base_mask = shift_masks[0][0]
-
-    def scan(lo: int, hi: int) -> tuple[int | None, int]:
-        best_val, best_rank = None, -1
-        for rank in range(lo, hi):
-            t = rank
-            mask = base_mask
-            for j in range(1, len(moduli)):
-                q = moduli[j]
-                mask |= shift_masks[j][t % q]
-                t //= q
-            val = mask.bit_count()
-            if best_val is None or val < best_val:
-                best_val, best_rank = val, rank
-        return best_val, best_rank
-
-    if workers <= 1 or total < 4:
-        best_val, best_rank = scan(0, total)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = -(-total // workers)
-        bounds = [(i * chunk, min((i + 1) * chunk, total)) for i in range(workers)]
-        bounds = [(lo, hi) for lo, hi in bounds if lo < hi]
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            results = list(pool.map(lambda b: scan(*b), bounds))
-        best_val, best_rank = None, -1
-        for val, rank in results:
-            if val is not None and (best_val is None or val < best_val):
-                best_val, best_rank = val, rank
-
-    shifts = [0]
-    t = best_rank
-    for q in moduli[1:]:
-        shifts.append(t % q)
-        t //= q
+    shift_masks = [[_progression_mask(period, s, q) for s in range(q)] for q in moduli[1:]]
+    base = _progression_mask(period, 0, moduli[0])
+    best_val, digits = min_union_scan(base, shift_masks, workers)
+    shifts = (0,) + digits
     zero_val = union_density([Progression(0, q) for q in moduli], period_cap).residues
     if best_val != zero_val:
-        raise RuntimeError(
+        raise VerificationFailed(
             f"minimum {best_val} differs from zero-shift value {zero_val}; "
             "this contradicts the shift inequality over Z"
         )
@@ -140,5 +106,5 @@ def rogers_min_density(
         period=period,
         residues=zero_val,
         min_density=Fraction(best_val, period),
-        witness_shifts=tuple(shifts),
+        witness_shifts=shifts,
     )

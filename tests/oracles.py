@@ -157,3 +157,58 @@ def density_by_counting(progressions, span_periods=3) -> Fraction:
         if any((x - a) % q == 0 for a, q in progressions)
     )
     return Fraction(count, total)
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    """Exact integer matrix product."""
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def det_bareiss(mat) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    a = [list(r) for r in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def hom_carrier_map(hom) -> list[int]:
+    """Target index of hom(x) for every source carrier index x."""
+    return [hom(x).index for x in hom.source.elements()]
+
+
+def hom_is_bijective(hom) -> bool:
+    return (hom.source.order == hom.target.order
+            and len(set(hom_carrier_map(hom))) == hom.source.order)
+
+
+def hom_preserves_operations(hom) -> bool:
+    """+, * and 1 preserved on every pair of carrier elements."""
+    s, t = hom.source, hom.target
+    imap = hom_carrier_map(hom)
+    for i in range(s.order):
+        for j in range(s.order):
+            if imap[s.add_idx(i, j)] != t.add_idx(imap[i], imap[j]):
+                return False
+            if imap[s.mul_idx(i, j)] != t.mul_idx(imap[i], imap[j]):
+                return False
+    return hom(s.unit) == t.unit

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import det_bareiss, mat_mul
 from ringsieve.catalog import (
     acceptance_catalog,
     order_z2i,
@@ -22,7 +23,7 @@ from ringsieve.catalog import (
 )
 from ringsieve.cli import dispatch
 from ringsieve.ideals import all_ideals
-from ringsieve.intmat import det_bareiss, hnf, mat_mul, snf
+from ringsieve.intmat import hnf, snf
 from ringsieve.localstruct import classify
 from ringsieve.orders import push_to_quotient, rogers_check_order
 from ringsieve.rogers import counterexample, rogers_check, socle_witness, theorem2_verify

@@ -140,6 +140,28 @@ def test_usage_errors_exit_one():
     assert code == 1  # ring where an order is expected
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["validate", "{file}"], "ring\n"),
+        (["classify", "{file}"], "ring 1 6\nmul 1\none 1\n"),
+        (["probe", "{file}", "--bound", "3"], "order\n"),
+        (["--workers", "0", "sieve-min", "--moduli", "2,3"], None),
+        (["--carrier-bound", "0", "validate", "catalog:Z12"], None),
+        (["--tuple-cap", "0", "sieve-min", "--moduli", "2,3"], None),
+    ],
+    ids=["ring-header", "mul-line", "order-header", "workers", "carrier-bound", "tuple-cap"],
+)
+def test_malformed_input_ends_in_error_line(tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([a.replace("{file}", str(path)) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_validate_from_file(tmp_path):
     path = tmp_path / "ring.txt"
     path.write_text(format_ring_text(socle_plane_ring(2)), encoding="utf-8")

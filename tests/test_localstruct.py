@@ -153,4 +153,4 @@ def test_minimal_ideals_live_in_the_socle():
 def test_embeddings_preserve_structure(z12):
     decomp = local_decomposition(z12)
     for proj in decomp.embeddings:
-        assert proj.check_exhaustive()
+        assert oracles.hom_preserves_operations(proj)

@@ -245,6 +245,27 @@ def test_counterexample_c1_lifting_doubles(c1):
     )
 
 
+def test_witness_builders_decompose_each_ring_once(monkeypatch):
+    # every local decomposition starts from the primitive idempotents
+    import ringsieve.localstruct as localstruct
+    from ringsieve.catalog import order_z2i
+    from ringsieve.orders import nonmaximality_probe
+
+    visited = {}
+    original = localstruct.primitive_idempotents
+
+    def counted(ring):
+        visited.setdefault(id(ring), [ring, 0])[1] += 1
+        return original(ring)
+
+    monkeypatch.setattr(localstruct, "primitive_idempotents", counted)
+    counterexample(ring_c1())
+    assert [n for _, n in visited.values()] == [1, 1]
+    visited.clear()
+    assert nonmaximality_probe(order_z2i(), 4) is not None
+    assert [n for _, n in visited.values()] == [1, 1, 1, 1]
+
+
 def test_theorem2_examples(z12, f2xy):
     assert theorem2_verify(z12) is True
     assert theorem2_verify(f2xy) is False
