@@ -137,6 +137,20 @@ def test_lattice_sum_contains_both():
         assert lattice_contains(s, row)
 
 
+def test_invert_unimodular_round_trip():
+    # for unimodular m, U * m * V = I, so m^-1 = V * U; snf also carries V^-1
+    m = [[1, 2, 0], [0, 1, 5], [0, 0, 1]]
+    res = snf(m)
+    assert res.diagonal == (1, 1, 1)
+    u = [list(r) for r in res.u]
+    v = [list(r) for r in res.v]
+    inv = mat_mul(v, u)
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert mat_mul(m, inv) == identity
+    assert mat_mul(inv, m) == identity
+    assert mat_mul(v, [list(r) for r in res.vinv]) == identity
+
+
 def test_lattice_det_is_pivot_product():
     basis = hnf_full_rank([[2, 1], [0, 3]], 2)
     assert lattice_det(basis) == 6
