@@ -1,7 +1,6 @@
 """Carrier subsets as arbitrary-size int bitmasks (bit i = carrier index i),
-and the first-minimizer scan over unions of such masks."""
+and the first-minimizer scan over unions of labelled carrier classes."""
 
-from concurrent.futures import ThreadPoolExecutor
 from math import prod
 
 import numpy as np
@@ -36,48 +35,56 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def min_union_scan(base: int, choices, workers: int = 1) -> tuple[int, tuple[int, ...]]:
-    """First minimizer of popcount(base | choices[0][i_0] | choices[1][i_1] | ...).
+SCAN_CHUNK = 8192  # ranks per numpy pass; bounds the scan's working memory
 
-    Index tuples are ranked mixed-radix with position 0 varying fastest and
-    scanned in rank order; the lowest-ranked tuple reaching the minimum
-    wins.  With several workers each thread scans one contiguous rank range
-    and the ranges are merged in order, so the result never depends on the
-    worker count.  Returns the minimum and the minimizing indices.
+
+def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
+    """First minimizer of |base | L_0(i_0) | L_1(i_1) | ...| over index tuples.
+
+    ``base_flags`` marks ``base`` on an n-element carrier and ``labels[j]``
+    numbers each element's class L_j(i), 0 <= i < ``sizes[j]``.  Tuples are
+    ranked mixed-radix with position 0 varying fastest; the lowest-ranked
+    tuple reaching the minimum wins.  Returns the minimum and its indices.
+
+    The union misses the elements outside ``base`` whose labels avoid every
+    chosen index; by inclusion-exclusion that count is
+    sum_S (-1)^|S| M_S(i_S), with M_S the joint histogram of the labels in S
+    over those elements.  Proper subsets S keep whole histograms; the full
+    one is read per chunk of ranks off the elements' own ranks, sorted once.
     """
-    sizes = [len(c) for c in choices]
-    total = prod(sizes)
+    outside = ~np.asarray(base_flags, dtype=bool)
+    n, count, m, total = len(outside), int(np.count_nonzero(outside)), len(sizes), prod(sizes)
+    dtype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    free = [np.asarray(lab)[outside].astype(dtype) for lab in labels]
 
-    def scan(lo: int, hi: int) -> tuple[int | None, int]:
-        best_val = None
-        best_rank = -1
-        for rank in range(lo, hi):
-            t = rank
-            mask = base
-            for j, size in enumerate(sizes):
-                mask |= choices[j][t % size]
-                t //= size
-            val = mask.bit_count()
-            if best_val is None or val < best_val:
-                best_val = val
-                best_rank = rank
-        return best_val, best_rank
+    def joint(cols, positions, length):
+        """Mixed-radix key of ``cols`` over ``positions``."""
+        key = np.zeros(length, dtype=dtype)
+        weight = 1
+        for j in positions:
+            key += cols[j] * weight
+            weight *= sizes[j]
+        return key
 
-    if workers <= 1 or total < 4:
-        best_val, best_rank = scan(0, total)
-    else:
-        chunk = -(-total // workers)
-        bounds = [(i * chunk, min((i + 1) * chunk, total)) for i in range(workers)]
-        bounds = [(lo, hi) for lo, hi in bounds if lo < hi]
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            results = list(pool.map(lambda b: scan(*b), bounds))
-        best_val, best_rank = None, -1
-        for val, rank in results:  # chunks are rank-ordered; first minimum wins
-            if val is not None and (best_val is None or val < best_val):
-                best_val, best_rank = val, rank
+    own_rank = np.sort(joint(free, range(m), count))
+    partial = []  # (positions, signed histogram) of every proper subset
+    for subset in range(2**m - 1):
+        positions = [j for j in range(m) if subset >> j & 1]
+        hist = np.bincount(joint(free, positions, count),
+                           minlength=prod(sizes[j] for j in positions))
+        partial.append((positions, (-1) ** len(positions) * hist.astype(np.int32)))
 
-    digits = []
-    for size in sizes:
-        digits.append(best_rank % size)
-        best_rank //= size
-    return best_val, tuple(digits)
+    strides = [prod(sizes[:j]) for j in range(m)]
+    best_val, best_rank = None, 0
+    for lo in range(0, total, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, total)
+        ranks = np.arange(lo, hi, dtype=dtype)
+        digits = [ranks // stride % size for stride, size in zip(strides, sizes)]
+        a, b = np.searchsorted(own_rank, (lo, hi))
+        uncovered = (-1) ** m * np.bincount(own_rank[a:b] - lo, minlength=hi - lo)
+        for positions, hist in partial:
+            uncovered += hist[joint(digits, positions, hi - lo)]
+        i = int(np.argmax(uncovered))  # first maximum: lowest rank in the chunk
+        if best_val is None or n - uncovered[i] < best_val:  # earlier chunks win ties
+            best_val, best_rank = n - int(uncovered[i]), lo + i
+    return best_val, tuple(best_rank // stride % size for stride, size in zip(strides, sizes))

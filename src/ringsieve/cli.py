@@ -109,9 +109,8 @@ def _witness_records(witness):
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = config.RunConfig(
             carrier_bound=args.carrier_bound,
             tuple_cap=args.tuple_cap,
@@ -119,10 +118,7 @@ def dispatch(argv) -> int:
             output_format=args.format,
         )
         return args.handler(args, cfg)
-    except RingSieveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (RingSieveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -180,9 +176,7 @@ def _cmd_rogers_check(args, cfg):
     shifts = None
     if args.shifts:
         shifts = [ring.element(v) for v in _parse_vectors(args.shifts)]
-    report = rogers_check(
-        ring, ideals, shifts=shifts, tuple_cap=cfg.tuple_cap, workers=cfg.worker_count
-    )
+    report = rogers_check(ring, ideals, shifts=shifts, tuple_cap=cfg.tuple_cap)
     _emit(_report_records(report), cfg.output_format)
     return 0 if report.satisfied else 2
 
@@ -212,9 +206,7 @@ def _cmd_order_check(args, cfg):
     if not gen_lists:
         raise RingSieveError("need at least one --ideal")
     shifts = _parse_vectors(args.shifts) if args.shifts else None
-    report = rogers_check_order(
-        order, gen_lists, shifts=shifts, tuple_cap=cfg.tuple_cap, workers=cfg.worker_count
-    )
+    report = rogers_check_order(order, gen_lists, shifts=shifts, tuple_cap=cfg.tuple_cap)
     ring = report.ideals[0].ring
     extra = [
         ("quotient_order", ring.order),
@@ -260,9 +252,7 @@ def _cmd_sieve(args, cfg):
 
 def _cmd_sieve_min(args, cfg):
     moduli = [int(x) for x in args.moduli.split(",") if x.strip()]
-    report = rogers_min_density(
-        moduli, tuple_cap=cfg.tuple_cap, workers=cfg.worker_count
-    )
+    report = rogers_min_density(moduli, tuple_cap=cfg.tuple_cap)
     _emit([("density", [
         ("min", report.min_density),
         ("density", report.density),
@@ -273,8 +263,15 @@ def _cmd_sieve_min(args, cfg):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so dispatch ends them in ``error: ...`` and exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringsieve",
         description="Shift-minimization checks for finite rings, orders and progressions",
     )
@@ -282,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--carrier-bound", type=int, default=config.CARRIER_BOUND)
     parser.add_argument("--tuple-cap", type=int, default=config.TUPLE_CAP)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate", help="validate a ring presentation")
     p.add_argument("ring")

@@ -23,12 +23,14 @@ class LocalDecomposition:
     ``embeddings[i]`` is the projection realizing factor i; jointly they
     give the isomorphism onto the product of the factors, which is
     re-verified exhaustively on the carrier at construction time.
+    ``maximal_ideals[i]`` is factor i's maximal ideal, found by the locality check.
     """
 
     ring: FiniteRing
     idempotents: tuple[Element, ...]
     factors: tuple[FiniteRing, ...]
     embeddings: tuple[RingHom, ...]
+    maximal_ideals: tuple[Ideal, ...]
 
 
 @dataclass(frozen=True)
@@ -116,15 +118,18 @@ def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
         total *= f.order
     if total != ring.order:
         raise VerificationFailed("factor orders do not multiply to |R|")
+    maximals = []
     for f in factors:
-        ok, _ = is_local(f)
+        ok, maximal = is_local(f)
         if not ok:
             raise VerificationFailed("decomposition produced a non-local factor")
+        maximals.append(maximal)
     return LocalDecomposition(
         ring=ring,
         idempotents=tuple(prim),
         factors=tuple(factors),
         embeddings=tuple(embeddings),
+        maximal_ideals=tuple(maximals),
     )
 
 

@@ -15,7 +15,7 @@ Conventions (all load-bearing for determinism):
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -69,32 +69,28 @@ class Witness:
             raise ValidationError("witness does not shrink the union")
 
 
-def coset_representatives(ideal: Ideal) -> tuple[list[int], list[int]]:
-    """(reps, coset masks): least element of each coset, in carrier order.
+def coset_representatives(ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, labels): the least element of each coset, in carrier order, and
+    the number of the coset every carrier element lies in.
 
-    Note the least-index representative is a carrier-order notion; it does
-    not coincide with coordinate-wise lattice reduction, so the cosets are
-    discovered by scanning the carrier.
+    Each carrier coordinate vector is reduced against the HNF rows of the
+    ideal's lattice, column by column (the arithmetic of
+    ``intmat.lattice_reduce``); read mixed-radix, the reduced coordinates
+    key the cosets.
     """
     ring = ideal.ring
-    n = ring.order
-    members = ideal.members
-    if len(members) == 1:
-        return list(range(n)), [1 << x for x in range(n)]
-    if len(members) == n:
-        return [0], [ideal.mask]
-    covered = bytearray(n)
-    reps: list[int] = []
-    masks: list[int] = []
-    for x in range(n):
-        if covered[x]:
-            continue
-        shifted = ring.add_to_all(x, members)
-        for i in shifted.tolist():
-            covered[i] = 1
-        reps.append(x)
-        masks.append(mask_from_indices(n, shifted))
-    return reps, masks
+    basis = np.array(ideal.lattice, dtype=np.int64)
+    coords = ring._coords.copy()
+    key = np.zeros(ring.order, dtype=np.int64)
+    weight = 1
+    for i in range(ring.k):
+        pivot = int(basis[i, i])
+        coords[:, i:] -= (coords[:, i] // pivot)[:, None] * basis[i, i:]
+        key += coords[:, i] * weight
+        weight *= pivot
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 def _union_at(ring: FiniteRing, ideals, shifts) -> int:
@@ -119,7 +115,7 @@ def rogers_check(
     coset representatives without early exit, and reports the first
     minimizer.  With ``shifts`` given, evaluates exactly that tuple.
     ``coset_cache`` (keyed by ideal) only avoids recomputing transversals
-    across calls; it never changes results.
+    across calls; it never changes results, and neither does ``workers``.
     """
     ideals = tuple(ideals)
     if len(ideals) < 1:
@@ -151,25 +147,22 @@ def rogers_check(
             tuples_examined=1,
         )
 
-    rep_lists = []
-    coset_masks = []
-    total = 1
+    cache = {} if coset_cache is None else coset_cache
+    transversals = []
     for ideal in ideals[1:]:
-        if coset_cache is not None and ideal in coset_cache:
-            reps, masks = coset_cache[ideal]
-        else:
-            reps, masks = coset_representatives(ideal)
-            if coset_cache is not None:
-                coset_cache[ideal] = (reps, masks)
-        rep_lists.append(reps)
-        coset_masks.append(masks)
-        total *= len(reps)
+        if ideal not in cache:
+            cache[ideal] = coset_representatives(ideal)
+        transversals.append(cache[ideal])
+    sizes = [len(reps) for reps, _ in transversals]
+    total = prod(sizes)
     if total > tuple_cap:
         raise SearchSpaceTooLarge(total, tuple_cap)
 
-    best_val, digits = min_union_scan(ideals[0].mask, coset_masks, workers)
+    base = np.zeros(ring.order, dtype=bool)
+    base[ideals[0].members] = True
+    best_val, digits = min_union_scan(base, [labels for _, labels in transversals], sizes)
     shift_els = [ring.zero]
-    shift_els += [ring.element_at(reps[d]) for reps, d in zip(rep_lists, digits)]
+    shift_els += [ring.element_at(int(reps[d])) for (reps, _), d in zip(transversals, digits)]
     return RogersReport(
         ideals=ideals,
         baseline=baseline,
@@ -193,6 +186,11 @@ def socle_witness(ring: FiniteRing) -> Witness:
     local, maximal = is_local(ring)
     if not local:
         raise NotLocal("socle construction requires a local ring")
+    return _socle_witness(ring, maximal)
+
+
+def _socle_witness(ring: FiniteRing, maximal: Ideal) -> Witness:
+    """:func:`socle_witness` for a local ring with the given maximal ideal."""
     socle = annihilator(maximal)
     residue_order = ring.order // maximal.size
     if socle.size == residue_order or socle.size == ring.order:
@@ -248,7 +246,7 @@ def _witness_from_verdict(verdict: ClassificationVerdict) -> Witness:
     ring = decomp.ring
     fidx = verdict.offending_factor
     proj = decomp.embeddings[fidx]
-    local_witness = _local_witness(decomp.factors[fidx])
+    local_witness = _local_witness(decomp.factors[fidx], decomp.maximal_ideals[fidx])
     # preimages are I_j x (the other factors); e * section(s) lifts each shift
     e = decomp.idempotents[fidx]
     shifts = tuple(ring.mul(e, proj.section(s)) for s in local_witness.shifts)
@@ -259,13 +257,12 @@ def _witness_from_verdict(verdict: ClassificationVerdict) -> Witness:
     return witness
 
 
-def _local_witness(ring: FiniteRing) -> Witness:
-    """Witness inside a local ring with non-chain ideals."""
+def _local_witness(ring: FiniteRing, maximal: Ideal) -> Witness:
+    """Witness inside a local ring with non-chain ideals and maximal ideal ``maximal``."""
     try:
-        return socle_witness(ring)
+        return _socle_witness(ring, maximal)
     except UniqueMinimalIdeal:
         pass
-    local, maximal = is_local(ring)
     socle = annihilator(maximal)
     quotient, proj = make_quotient(ring, socle)  # socle = unique minimal ideal here
     inner = counterexample(quotient)

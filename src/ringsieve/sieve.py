@@ -9,7 +9,7 @@ Floating point never appears here.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -40,12 +40,6 @@ class DensityReport:
     witness_shifts: tuple[int, ...] | None = None
 
 
-def _progression_mask(period: int, shift: int, modulus: int) -> int:
-    buf = np.zeros(period, dtype=np.uint8)
-    buf[shift % modulus :: modulus] = 1
-    return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
-
-
 def union_density(progressions, period_cap: int = config.PERIOD_CAP) -> DensityReport:
     """Exact density of a union, by marking residues modulo the lcm."""
     progressions = [
@@ -56,10 +50,10 @@ def union_density(progressions, period_cap: int = config.PERIOD_CAP) -> DensityR
     period = lcm(*(p.modulus for p in progressions))
     if period > period_cap:
         raise PeriodTooLarge(period, period_cap)
-    mask = 0
+    marked = np.zeros(period, dtype=bool)
     for p in progressions:
-        mask |= _progression_mask(period, p.shift, p.modulus)
-    covered = mask.bit_count()
+        marked[p.shift :: p.modulus] = True
+    covered = int(np.count_nonzero(marked))
     return DensityReport(
         density=Fraction(covered, period),
         period=period,
@@ -78,6 +72,7 @@ def rogers_min_density(
     a_1 is pinned to 0; a_j ranges over 0..q_j-1.  The minimum can never
     drop below the zero-shift density (that is the point of the whole
     computation), and the function checks that equality before returning.
+    ``workers`` is accepted and changes nothing: the scan runs in one thread.
     """
     moduli = [int(q) for q in moduli]
     if not moduli or any(q < 1 for q in moduli):
@@ -85,16 +80,13 @@ def rogers_min_density(
     period = lcm(*moduli)
     if period > period_cap:
         raise PeriodTooLarge(period, period_cap)
-    total = 1
-    for q in moduli[1:]:
-        total *= q
+    total = prod(moduli[1:])
     if total > tuple_cap:
         raise SearchSpaceTooLarge(total, tuple_cap)
 
-    shift_masks = [[_progression_mask(period, s, q) for s in range(q)] for q in moduli[1:]]
-    base = _progression_mask(period, 0, moduli[0])
-    best_val, digits = min_union_scan(base, shift_masks, workers)
-    shifts = (0,) + digits
+    carrier = np.arange(period, dtype=np.int32)
+    labels = [carrier % q for q in moduli[1:]]
+    best_val, digits = min_union_scan(carrier % moduli[0] == 0, labels, moduli[1:])
     zero_val = union_density([Progression(0, q) for q in moduli], period_cap).residues
     if best_val != zero_val:
         raise VerificationFailed(
@@ -106,5 +98,5 @@ def rogers_min_density(
         period=period,
         residues=zero_val,
         min_density=Fraction(best_val, period),
-        witness_shifts=shifts,
+        witness_shifts=(0,) + digits,
     )

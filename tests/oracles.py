@@ -75,6 +75,45 @@ def min_union_all_shifts(ring, ideals) -> int:
     return best
 
 
+def first_minimizer_in_rank_order(base, choices) -> tuple[int, tuple[int, ...]]:
+    """(minimum, indices) of |base | choices[0][i_0] | choices[1][i_1] | ...|.
+
+    Visits index tuples one by one in rank order, position 0 varying
+    fastest, and keeps the first tuple that reaches the minimum.
+    """
+    best = None
+    for reversed_digits in itertools.product(*[range(len(c)) for c in reversed(choices)]):
+        digits = reversed_digits[::-1]
+        union = set(base)
+        for sets, d in zip(choices, digits):
+            union |= sets[d]
+        if best is None or len(union) < best[0]:
+            best = (len(union), digits)
+    return best
+
+
+def cosets_in_carrier_order(ring, ideal) -> list[tuple[int, set[int]]]:
+    """(least element, member set) of every coset of ``ideal``, by least element."""
+    members = [int(m) for m in ideal.members]
+    covered = set()
+    out = []
+    for x in range(ring.order):
+        if x not in covered:
+            coset = {ring.add_idx(x, m) for m in members}
+            covered |= coset
+            out.append((x, coset))
+    return out
+
+
+def pinned_scan(ring, ideals) -> tuple[int, tuple[int, ...]]:
+    """Minimum and first-minimizing shift indices with a_1 = 0 and a_j running
+    over the least element of each coset of I_j."""
+    cosets = [cosets_in_carrier_order(ring, ideal) for ideal in ideals[1:]]
+    base = {int(m) for m in ideals[0].members}
+    value, digits = first_minimizer_in_rank_order(base, [[c for _, c in cs] for cs in cosets])
+    return value, (0,) + tuple(cs[d][0] for cs, d in zip(cosets, digits))
+
+
 def union_at_shifts(ring, ideals, shift_indices) -> int:
     union = set()
     for s, ideal in zip(shift_indices, ideals):
@@ -145,6 +184,16 @@ def min_density_all_shifts(moduli) -> Fraction:
         if best is None or len(covered) < best:
             best = len(covered)
     return Fraction(best, period)
+
+
+def pinned_residue_scan(moduli) -> tuple[int, tuple[int, ...]]:
+    """Fewest covered residues mod lcm and the first-minimizing shifts, with
+    a_1 = 0 and a_j running over 0..q_j - 1."""
+    period = lcm(*moduli)
+    base = set(range(0, period, moduli[0]))
+    choices = [[set(range(a, period, q)) for a in range(q)] for q in moduli[1:]]
+    value, digits = first_minimizer_in_rank_order(base, choices)
+    return value, (0,) + digits
 
 
 def density_by_counting(progressions, span_periods=3) -> Fraction:

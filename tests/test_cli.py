@@ -149,8 +149,12 @@ def test_usage_errors_exit_one():
         (["--workers", "0", "sieve-min", "--moduli", "2,3"], None),
         (["--carrier-bound", "0", "validate", "catalog:Z12"], None),
         (["--tuple-cap", "0", "sieve-min", "--moduli", "2,3"], None),
+        (["--workers", "x", "sieve-min", "--moduli", "2,3"], None),
+        (["sieve-min"], None),
+        (["nosuch", "catalog:Z12"], None),
     ],
-    ids=["ring-header", "mul-line", "order-header", "workers", "carrier-bound", "tuple-cap"],
+    ids=["ring-header", "mul-line", "order-header", "workers", "carrier-bound", "tuple-cap",
+         "workers-not-int", "missing-moduli", "unknown-command"],
 )
 def test_malformed_input_ends_in_error_line(tmp_path, argv, text):
     path = tmp_path / "input.txt"
@@ -160,6 +164,12 @@ def test_malformed_input_ends_in_error_line(tmp_path, argv, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
 
 
 def test_validate_from_file(tmp_path):

@@ -105,6 +105,20 @@ def test_workers_do_not_change_report(f2xy):
         assert other == base
 
 
+def test_scans_start_no_thread(f2xy, monkeypatch):
+    import threading
+
+    from ringsieve.sieve import rogers_min_density
+
+    def refuse(self):
+        raise AssertionError("the scan started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = rogers_check(f2xy, _three_lines(f2xy), workers=4)
+    assert report.tuples_examined == 16
+    assert rogers_min_density([4, 6, 9], workers=4).residues == 14
+
+
 def test_zero_ring_rejected():
     zero = make_cyclic(1)
     with pytest.raises(ZeroRingRejected):
@@ -139,17 +153,24 @@ def test_coset_representative_reduction(small_rings):
                 ) == oracles.union_at_shifts(ring, ideals, (shifted, 0))
 
 
-def test_representatives_are_least_of_their_coset(small_rings):
-    for ring in small_rings[:8]:
+def test_representatives_are_least_of_their_coset(small_rings, f3xy):
+    # in f3xy and Z/4 x Z/6 some cosets, keyed by reduced coordinates, come
+    # in a different order than their least elements
+    for ring in small_rings[:8] + [f3xy, make_product([make_cyclic(4), make_cyclic(6)])[0]]:
         for ideal in all_ideals(ring):
-            reps, masks = coset_representatives(ideal)
+            reps, labels = coset_representatives(ideal)
+            reps, labels = [int(r) for r in reps], [int(c) for c in labels]
             assert reps == sorted(reps)
-            seen = 0
-            for rep, mask in zip(reps, masks):
-                assert mask & -mask == 1 << rep  # rep is the least member
-                assert seen & mask == 0
-                seen |= mask
-            assert seen.bit_count() == ring.order
+            assert len(labels) == ring.order
+            members = [int(m) for m in ideal.members]
+            seen = set()
+            for number, rep in enumerate(reps):
+                coset = {x for x in range(ring.order) if labels[x] == number}
+                assert min(coset) == rep  # rep is the least member
+                assert coset == {ring.add_idx(rep, m) for m in members}  # coset = rep + I
+                assert seen.isdisjoint(coset)
+                seen |= coset
+            assert seen == set(range(ring.order))
 
 
 def test_chain_ring_subsets_never_shrink(z8):
@@ -264,6 +285,22 @@ def test_witness_builders_decompose_each_ring_once(monkeypatch):
     visited.clear()
     assert nonmaximality_probe(order_z2i(), 4) is not None
     assert [n for _, n in visited.values()] == [1, 1, 1, 1]
+
+
+def test_witness_builders_check_each_ring_local_once(monkeypatch):
+    # is_local runs one units_mask per call; the maximal ideal is passed along
+    import ringsieve.localstruct as localstruct
+
+    visited = {}
+    original = localstruct.units_mask
+
+    def counted(ring):
+        visited.setdefault(id(ring), [ring, 0])[1] += 1
+        return original(ring)
+
+    monkeypatch.setattr(localstruct, "units_mask", counted)
+    counterexample(ring_c1())
+    assert sorted((ring.order, n) for ring, n in visited.values()) == [(8, 1), (16, 1)]
 
 
 def test_theorem2_examples(z12, f2xy):
