@@ -35,7 +35,17 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-SCAN_CHUNK = 8192  # ranks per numpy pass; bounds the scan's working memory
+SCAN_CHUNK = 8192  # ranks per numpy pass (divided by the mask width on the bitmask path)
+HISTOGRAM_CELLS = 1 << 21  # cap on the histogram cells inclusion-exclusion keeps (8 MB)
+
+
+def _by_histograms(count: int, sizes) -> bool:
+    """Whether inclusion-exclusion scores a scan over ``count`` elements in
+    fewer estimated steps than bitmasks do, within HISTOGRAM_CELLS."""
+    m, total = len(sizes), prod(sizes)
+    cells = prod(s + 1 for s in sizes) - total
+    words = -(-count // 64)
+    return cells <= HISTOGRAM_CELLS and 2**m * (count + total) + cells <= words * (m * total + sum(sizes))
 
 
 def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
@@ -46,14 +56,24 @@ def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
     ranked mixed-radix with position 0 varying fastest; the lowest-ranked
     tuple reaching the minimum wins.  Returns the minimum and its indices.
 
-    The union misses the elements outside ``base`` whose labels avoid every
-    chosen index; by inclusion-exclusion that count is
-    sum_S (-1)^|S| M_S(i_S), with M_S the joint histogram of the labels in S
-    over those elements.  Proper subsets S keep whole histograms; the full
-    one is read per chunk of ranks off the elements' own ranks, sorted once.
+    The union misses the ``count`` elements outside ``base`` whose labels
+    avoid every chosen index.  Each chunk of ranks counts them one of two
+    exact ways, whichever :func:`_by_histograms` picks:
+
+    * inclusion-exclusion, sum_S (-1)^|S| M_S(i_S) with M_S the joint
+      histogram of the labels in S over those elements: proper subsets S
+      keep whole histograms, prod(1 + s_j) cells in all, and the full one is
+      read off the elements' own ranks, sorted once; about
+      2^m (count + tuples) steps;
+    * bitmasks: every class as packed 64-bit words over those elements,
+      OR-ed along each rank and popcounted; about m * tuples * count/64
+      steps, the work of a one-tuple-at-a-time big-int scan.
     """
     outside = ~np.asarray(base_flags, dtype=bool)
-    n, count, m, total = len(outside), int(np.count_nonzero(outside)), len(sizes), prod(sizes)
+    n, m, total = len(outside), len(sizes), prod(sizes)
+    count = int(np.count_nonzero(outside))
+    if count == 0 or 1 in sizes:  # base or a class is the whole carrier
+        return n, (0,) * m
     dtype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
     free = [np.asarray(lab)[outside].astype(dtype) for lab in labels]
 
@@ -66,24 +86,45 @@ def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
             weight *= sizes[j]
         return key
 
-    own_rank = np.sort(joint(free, range(m), count))
-    partial = []  # (positions, signed histogram) of every proper subset
-    for subset in range(2**m - 1):
-        positions = [j for j in range(m) if subset >> j & 1]
-        hist = np.bincount(joint(free, positions, count),
-                           minlength=prod(sizes[j] for j in positions))
-        partial.append((positions, (-1) ** len(positions) * hist.astype(np.int32)))
+    if _by_histograms(count, sizes):
+        step = SCAN_CHUNK
+        own_rank = np.sort(joint(free, range(m), count))
+        partial = []  # (positions, signed histogram) of every proper subset
+        for subset in range(2**m - 1):
+            positions = [j for j in range(m) if subset >> j & 1]
+            hist = np.bincount(joint(free, positions, count),
+                               minlength=prod(sizes[j] for j in positions)).astype(np.int32)
+            partial.append((positions, -hist if len(positions) % 2 else hist))
+
+        def missed(lo, hi, digits):
+            a, b = np.searchsorted(own_rank, (lo, hi))
+            out = (-1) ** m * np.bincount(own_rank[a:b] - lo, minlength=hi - lo)
+            for positions, hist in partial:
+                out += hist[joint(digits, positions, hi - lo)]
+            return out
+    else:
+        words = -(-count // 64)
+        step = max(1, SCAN_CHUNK // words)
+        bit = np.arange(count)
+        ones = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+        classes = []
+        for lab, size in zip(free, sizes):
+            mask = np.zeros((size, words), dtype=np.uint64)
+            np.bitwise_or.at(mask, (lab, bit // 64), ones)
+            classes.append(mask)
+
+        def missed(lo, hi, digits):
+            covered = np.zeros((hi - lo, words), dtype=np.uint64)
+            for mask, d in zip(classes, digits):
+                covered |= mask[d]
+            return count - np.bitwise_count(covered).sum(axis=1, dtype=np.int64)
 
     strides = [prod(sizes[:j]) for j in range(m)]
     best_val, best_rank = None, 0
-    for lo in range(0, total, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, total)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
         ranks = np.arange(lo, hi, dtype=dtype)
-        digits = [ranks // stride % size for stride, size in zip(strides, sizes)]
-        a, b = np.searchsorted(own_rank, (lo, hi))
-        uncovered = (-1) ** m * np.bincount(own_rank[a:b] - lo, minlength=hi - lo)
-        for positions, hist in partial:
-            uncovered += hist[joint(digits, positions, hi - lo)]
+        uncovered = missed(lo, hi, [ranks // stride % size for stride, size in zip(strides, sizes)])
         i = int(np.argmax(uncovered))  # first maximum: lowest rank in the chunk
         if best_val is None or n - uncovered[i] < best_val:  # earlier chunks win ties
             best_val, best_rank = n - int(uncovered[i]), lo + i

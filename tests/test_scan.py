@@ -2,9 +2,12 @@
 
 Every comparison checks the first-minimizing shifts as well as the
 minimum, and the chunked variants shrink the kernel's chunk so that one
-scan crosses many chunk boundaries.
+scan crosses many chunk boundaries.  ``path`` pins the kernel to one of its
+two ways of scoring a chunk, inclusion-exclusion over label histograms or
+OR-ed bitmasks.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import lcm, prod
 
@@ -35,6 +38,7 @@ RINGS = [
     make_product([finite_field(4), make_cyclic(4)])[0],
 ]
 MAX_TUPLES = 2000  # keeps the one-tuple-at-a-time oracle fast
+PATHS = {"histograms": lambda count, sizes: True, "bitmasks": lambda count, sizes: False}
 
 
 def _draw_tuple(data, length):
@@ -72,18 +76,21 @@ def test_first_minimizer_where_coset_keys_and_carrier_order_disagree():
     assert oracles.pinned_scan(ring, lines) == (6, (0, 3, 0))
 
 
+@pytest.mark.parametrize("path", PATHS)
 @given(data=st.data(), chunk=st.integers(1, 7))
 @settings(max_examples=40, deadline=None)
-def test_ring_scan_across_chunk_boundaries(data, chunk):
+def test_ring_scan_across_chunk_boundaries(path, data, chunk):
     ring, ideals = _draw_tuple(data, data.draw(st.integers(2, 5)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bitset, "SCAN_CHUNK", chunk)
+        mp.setattr(bitset, "_by_histograms", PATHS[path])
         _assert_ring_scan_matches(ring, ideals)
 
 
+@pytest.mark.parametrize("path", PATHS)
 @given(data=st.data(), chunk=st.integers(1, 9))
 @settings(max_examples=80, deadline=None)
-def test_kernel_matches_rank_order_oracle_on_any_partition(data, chunk):
+def test_kernel_matches_rank_order_oracle_on_any_partition(path, data, chunk):
     # labels need not come from cosets: any partition, empty classes included
     n = data.draw(st.integers(1, 30))
     sizes = data.draw(st.lists(st.integers(1, 5), min_size=0, max_size=4))
@@ -97,6 +104,7 @@ def test_kernel_matches_rank_order_oracle_on_any_partition(data, chunk):
                for lab, s in zip(labels, sizes)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bitset, "SCAN_CHUNK", chunk)
+        mp.setattr(bitset, "_by_histograms", PATHS[path])
         got = bitset.min_union_scan(base_flags, labels, sizes)
     assert got == oracles.first_minimizer_in_rank_order(base, choices)
 
@@ -114,3 +122,53 @@ def test_min_density_matches_residue_sets(moduli, chunk):
     assert report.min_density == Fraction(value, period)
     assert report.witness_shifts == shifts
     assert report.min_density == oracles.min_density_all_shifts(moduli)
+
+
+@given(moduli=st.lists(st.sampled_from([1, 2, 2, 2, 3]), min_size=1, max_size=14))
+@settings(max_examples=40, deadline=None)
+def test_many_moduli_of_one_and_two_match_residue_sets(moduli):
+    if prod(moduli[1:]) > MAX_TUPLES:
+        moduli = moduli[:8]
+    report = rogers_min_density(moduli)
+    value, shifts = oracles.pinned_residue_scan(moduli)
+    assert report.min_density == Fraction(value, lcm(*moduli))
+    assert report.witness_shifts == shifts
+
+
+@pytest.mark.parametrize("repeats", [1, 5, 11])
+@pytest.mark.parametrize("ring", [make_cyclic(12), make_product([make_cyclic(2), make_cyclic(2)])[0]],
+                         ids=["Z12", "Z2xZ2"])
+def test_repeated_unit_and_index_two_ideals_match_rank_order_oracle(ring, repeats):
+    ideals = all_ideals(ring)
+    unit = next(i for i in ideals if i.size == ring.order)
+    halves = [i for i in ideals if 2 * i.size == ring.order]
+    for first in ideals:
+        _assert_ring_scan_matches(ring, (first,) + (unit,) * repeats)
+        for half in halves:
+            _assert_ring_scan_matches(ring, (first,) + (half,) * repeats)
+            _assert_ring_scan_matches(ring, (first,) + (half,) * repeats + (unit,))
+
+
+def _peak_mb(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_scans_stay_small():
+    # a histogram for every subset of 14 positions took 24 MB and 7 s here;
+    # a class that is the whole carrier decides the scan at once
+    ring = make_cyclic(64)
+    zero, half, unit = (next(i for i in all_ideals(ring) if i.size == s) for s in (1, 32, 64))
+    report, peak = _peak_mb(lambda: rogers_check(ring, (zero,) + (half,) * 14))
+    assert (report.minimum, report.tuples_examined) == (32, 2**14)
+    assert report.witness_shifts == (ring.zero,) * 15 and peak < 2
+    report, peak = _peak_mb(lambda: rogers_check(ring, (zero,) + (unit,) * 14 + (half,)))
+    assert report.minimum == 64 and report.witness_shifts == (ring.zero,) * 16 and peak < 0.5
+    report, peak = _peak_mb(lambda: rogers_min_density([2] * 15))
+    assert report.min_density == Fraction(1, 2) and peak < 2
+    report, peak = _peak_mb(lambda: rogers_min_density([1] * 15 + [2]))
+    assert report.min_density == 1 and report.witness_shifts == (0,) * 16 and peak < 0.5
