@@ -13,6 +13,12 @@ def mask_from_indices(n: int, indices) -> int:
     return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
 
 
+def flags_from_mask(n: int, mask: int) -> np.ndarray:
+    """Boolean array over an n-element carrier, True at the indices in ``mask``."""
+    buf = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(buf, count=n, bitorder="little").view(bool)
+
+
 def indices_from_mask(mask: int) -> list[int]:
     out = []
     idx = 0

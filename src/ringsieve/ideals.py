@@ -20,21 +20,19 @@ Lattice = tuple[tuple[int, ...], ...]
 class Ideal:
     """An ideal of a FiniteRing; immutable, equality by membership mask."""
 
-    __slots__ = ("ring", "lattice", "mask", "_members", "_generators")
+    __slots__ = ("ring", "lattice", "mask", "_generators")
 
     def __init__(self, ring: FiniteRing, lattice: Lattice, _mask: int | None = None):
         self.ring = ring
         self.lattice = lattice
-        self._members: np.ndarray | None = None
         self._generators: tuple[Element, ...] | None = None
         self.mask = _mask if _mask is not None else mask_from_indices(ring.order, self.members)
 
     @property
     def members(self) -> np.ndarray:
-        """Sorted carrier indices of all members."""
-        if self._members is None:
-            self._members = _lattice_members(self.ring, self.lattice)
-        return self._members
+        """Sorted carrier indices of all members, enumerated from the lattice
+        on each call: kept on every ideal, they would outweigh the masks."""
+        return _lattice_members(self.ring, self.lattice)
 
     @property
     def size(self) -> int:
@@ -138,39 +136,65 @@ def ideal_from_members(ring: FiniteRing, member_indices) -> Ideal:
     return ideal
 
 
+def principal_lattices(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """(lattices, units) for the principal ideals (x) of the ring.
+
+    ``lattices`` (p x k x k) are their distinct HNF bases; ``units[x]``
+    says that (x) is the whole ring, i.e. that its HNF is the identity.
+    One ``intmat.hnf_mod`` batch per chunk of the carrier inserts the
+    basis multiples b_i * x into diag(d).  The result is kept on the ring,
+    because all_ideals and localstruct.units_mask both read it.
+    """
+    if ring._principal_cache is None:
+        d = ring._df
+        chunk = intmat.HNF_CHUNK
+        units = np.empty(ring.order, dtype=bool)
+        found: dict[bytes, None] = {}
+        for lo in range(0, ring.order, chunk):
+            # row block x holds b_1 * x, ..., b_k * x
+            rows = np.einsum("nj,ijl->nil", ring._coords[lo:lo + chunk], ring._sc) % d
+            lats = intmat.hnf_mod(np.broadcast_to(np.diag(d), rows.shape), rows, d)
+            units[lo:lo + len(lats)] = np.all(np.diagonal(lats, axis1=1, axis2=2) == 1, axis=1)
+            found.update(dict.fromkeys(intmat.lattice_keys(lats)))
+        ring._principal_cache = (_from_keys(found, ring.k), units)
+    return ring._principal_cache
+
+
+def _from_keys(keys, k: int) -> np.ndarray:
+    """The lattice batch whose ``intmat.lattice_keys`` are ``keys``."""
+    return np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, k, k)
+
+
 def all_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every ideal exactly once, sorted by (cardinality, member list).
 
-    Seeds with the zero ideal and all principal ideals, then closes under
-    pairwise ideal sum: every ideal is a finite sum of principal ideals,
-    so the fixpoint is complete.
+    Starts from the principal ideals, the zero ideal among them, and
+    closes under pairwise sum, pairing each round's new lattices with all
+    earlier ones: every ideal is a finite sum of principal ideals, so the
+    fixpoint is complete.
     """
     if ring._ideal_cache is not None:
         return list(ring._ideal_cache)
-    diag = ring.diag_rows()
-    seen: dict[Lattice, None] = {}
-    zero = intmat.hnf_full_rank(diag, ring.k)
-    seen[zero] = None
-    # basis products for the whole carrier in one shot; row block g holds
-    # the additive generators b_i * g of the principal ideal (g)
-    all_rows = np.einsum("nj,ijl->nil", ring._coords, ring._sc) % ring._df
-    for g in range(ring.order):
-        lat = intmat.hnf_full_rank(all_rows[g].tolist() + diag, ring.k)
-        if lat not in seen:
-            seen[lat] = None
-    worklist = list(seen)
-    while worklist:
-        nxt = []
-        current = list(seen)
-        for a in worklist:
-            for b in current:
-                s = intmat.hnf_full_rank(list(a) + list(b), ring.k)
-                if s not in seen:
-                    seen[s] = None
-                    nxt.append(s)
-        worklist = nxt
-    ideals = [Ideal(ring, lat) for lat in seen]
-    ideals.sort(key=lambda i: (i.size, tuple(int(m) for m in i.members)))
+    seen = dict.fromkeys(intmat.lattice_keys(principal_lattices(ring)[0]))
+    paired = 0  # the first ``paired`` lattices have been summed with each other
+    while paired < len(seen):
+        lattices = _from_keys(seen, ring.k)
+        for _, _, sums in intmat.lattice_pair_sums(lattices, ring._df, paired):
+            seen.update(dict.fromkeys(intmat.lattice_keys(sums)))
+        paired = len(lattices)
+    n = ring.order
+    entries = []
+    for rows in lattices.tolist():
+        lattice = tuple(map(tuple, rows))
+        members = _lattice_members(ring, lattice)
+        # Sorted member lists first differ at the least index in one set
+        # only; the bit-reversed mask puts that index highest, so the
+        # larger reversed mask holds the lexicographically smaller list.
+        order_key = -mask_from_indices(n, n - 1 - members)
+        ideal = Ideal(ring, lattice, _mask=mask_from_indices(n, members))
+        entries.append((len(members), order_key, ideal))
+    entries.sort(key=lambda e: e[:2])
+    ideals = [e[2] for e in entries]
     ring._ideal_cache = tuple(ideals)
     return ideals
 

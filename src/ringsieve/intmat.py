@@ -1,15 +1,20 @@
 """Exact integer matrix arithmetic: Hermite and Smith normal forms, lattices.
 
-Everything here runs on plain Python integers; entries may grow without
-bound during elimination, so fixed-width arithmetic is never used.  Rows
-of a matrix are understood to generate a lattice (row span over Z).
+Rows of a matrix are understood to generate a lattice (row span over Z).
+``hnf`` and ``snf`` run on plain Python integers, because entries may grow
+without bound during elimination.  ``hnf_mod`` is the one int64 path: it
+serves lattices that contain diag(d), whose entries stay below d_k.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RankDeficient
 
 Matrix = list[list[int]]
+
+HNF_CHUNK = 256  # lattices per hnf_mod call from lattice_pair_sums or ideals.principal_lattices
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -100,6 +105,82 @@ def hnf_full_rank(rows, n: int) -> tuple[tuple[int, ...], ...]:
     if len(basis) != n:
         raise RankDeficient(f"rank {len(basis)} < {n}")
     return tuple(tuple(r) for r in basis)
+
+
+def hnf_mod(bases: np.ndarray, rows: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """HNFs of a batch of lattices that all contain diag(d), in int64.
+
+    ``bases`` (B x k x k) holds HNF bases and ``rows`` (B x m x k) the
+    vectors to add to each; entry t of the result equals
+    ``hnf(list(bases[t]) + list(rows[t]))``.  Each row is inserted column
+    by column with an extended Euclid step on the pivot.  Since d_l * e_l
+    lies in every lattice (and in the span of the rows at and below l),
+    column l is kept reduced mod d_l, so no intermediate reaches 2 * d_k^2
+    (Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.8).
+    ``rings.validate_ring`` keeps that below 2^63.
+    """
+    b, k = bases.shape[:2]
+    w = np.empty((b, k + 1, k), dtype=np.int64)  # the basis, then the row being inserted
+    w[:, :k] = bases
+    for r in range(rows.shape[1]):
+        w[:, k] = rows[:, r] % d
+        for j in range(k):
+            if not w[:, k, j].any():
+                continue
+            # a zero entry gets the identity, so every lattice takes the same step
+            pair = _euclid_matrices(w[:, j, j], w[:, k, j]) @ w[:, [j, k]]
+            g = pair[:, 0, j].copy()
+            pair %= d
+            pair[:, 0, j] = g  # g may equal d_j, which the reduction turns into 0
+            w[:, [j, k]] = pair
+    h = w[:, :k]
+    # entries above each pivot into [0, pivot), left to right as in hnf
+    for i in range(1, k):
+        q = h[:, :i, i] // h[:, i, i, None]
+        h[:, :i, i:] -= q[:, :, None] * h[:, None, i, i:]
+        h[:, :i, i + 1:] %= d[i + 1:]
+    return h
+
+
+def _euclid_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unimodular 2 x 2 matrices [[x, y], [s, t]] with a*x + b*y = gcd(a, b)
+    and a*s + b*t = 0, per entry of the int64 arrays ``a`` > 0 and ``b`` >= 0
+    (the identity where b = 0): elementwise :func:`xgcd`, reducing each
+    remainder by the other in turn until one of them is 0."""
+    m = np.zeros((2, 3, len(a)), dtype=np.int64)  # rows (r, x, y) with r = a*x + b*y
+    m[0, 0], m[1, 0], m[0, 1], m[1, 2] = a, b, 1, 1
+    r0, r1 = m[0, 0], m[1, 0]
+    while (r0 * r1).any():
+        m[0] -= r0 // np.maximum(r1, 1) * (r1 > 0) * m[1]
+        m[1] -= r1 // np.maximum(r0, 1) * (r0 > 0) * m[0]
+    return np.where(r0 != 0, m[:, 1:], m[::-1, 1:]).transpose(2, 0, 1)
+
+
+def lattice_keys(lattices: np.ndarray) -> list[bytes]:
+    """One hashable key per lattice of an int64 batch (B x k x k): its raw
+    bytes, so ``np.frombuffer`` of the joined keys gives the batch back."""
+    b, k = lattices.shape[:2]
+    flat = np.ascontiguousarray(lattices, dtype=np.int64).reshape(b, k * k)
+    return flat.view(np.dtype((np.void, 8 * k * k))).ravel().tolist()
+
+
+def lattice_pair_sums(lattices: np.ndarray, d: np.ndarray, lo: int = 0):
+    """Yield ``(a, b, sums)`` in chunks of at most ``HNF_CHUNK`` pairs.
+
+    ``lattices`` (n x k x k) are HNF bases of lattices containing diag(d);
+    ``sums[t]`` is the HNF of lattices[a[t]] + lattices[b[t]].  The pairs
+    are all b < a with a >= lo, in order of a, then b; each chunk's indices
+    are decoded from its range of triangular numbers t = a(a-1)/2 + b.
+    """
+    n = len(lattices)
+    first, stop = lo * (lo - 1) // 2, n * (n - 1) // 2
+    for start in range(first, stop, HNF_CHUNK):
+        t = np.arange(start, min(start + HNF_CHUNK, stop), dtype=np.int64)
+        a = ((1 + np.sqrt(8 * t + 1)) // 2).astype(np.int64)
+        a -= a * (a - 1) // 2 > t  # the float root may be off by one
+        a += a * (a + 1) // 2 <= t
+        b = t - a * (a - 1) // 2
+        yield a, b, hnf_mod(lattices[a], lattices[b], d)
 
 
 def lattice_det(basis) -> int:

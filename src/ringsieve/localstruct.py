@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import intmat
 from .errors import VerificationFailed, ZeroRingRejected
-from .ideals import Ideal, ideal_generated, is_chain
+from .ideals import Ideal, ideal_generated, is_chain, principal_lattices
 from .rings import Element, FiniteRing, RingHom, make_product, make_quotient
 
 
@@ -78,16 +77,11 @@ def units_mask(ring: FiniteRing) -> np.ndarray:
     """Boolean carrier array marking units.
 
     An element is a unit exactly when its principal ideal is the whole
-    ring, decided per element by the index of the lattice spanned by its
-    basis multiples.  (Agrees with a pairwise product scan; the tests
-    check that on small rings.)
+    ring, read off the principal-ideal batch that all_ideals shares.
+    (Agrees with a pairwise product scan; the tests check that on small
+    rings.)
     """
-    diag = ring.diag_rows()
-    out = np.zeros(ring.order, dtype=bool)
-    for i in range(ring.order):
-        lat = intmat.hnf_full_rank(ring.basis_product_rows(i) + diag, ring.k)
-        out[i] = intmat.lattice_det(lat) == 1
-    return out
+    return principal_lattices(ring)[1].copy()
 
 
 def is_local(ring: FiniteRing) -> tuple[bool, Ideal | None]:

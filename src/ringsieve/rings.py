@@ -129,6 +129,7 @@ class FiniteRing:
         self.is_zero = self.order == 1
         self._coords_cache: np.ndarray | None = None
         self._ideal_cache = None  # filled lazily by ideals.all_ideals
+        self._principal_cache = None  # filled lazily by ideals.principal_lattices
 
     # -- carrier bookkeeping ------------------------------------------------
 
@@ -242,6 +243,10 @@ def validate_ring(
     for a, b in zip(df, df[1:]):
         if b % a != 0:
             raise IllFormedConstants(f"divisibility chain broken: {a} does not divide {b}")
+    if 2 * df[-1] ** 2 >= 2**63:
+        raise ValidationError(
+            f"invariant factor {df[-1]} too large: int64 arithmetic needs 2*d^2 < 2^63"
+        )
     n = presentation.carrier_size
     if n > carrier_bound:
         raise CarrierTooLarge(n, carrier_bound)

@@ -20,7 +20,7 @@ from math import comb, prod
 import numpy as np
 
 from . import config, intmat
-from .bitset import lowest_bit, mask_from_indices, min_union_scan
+from .bitset import flags_from_mask, lowest_bit, mask_from_indices, min_union_scan
 from .errors import (
     AlreadyChainLocalProduct,
     NotLocal,
@@ -158,8 +158,7 @@ def rogers_check(
     if total > tuple_cap:
         raise SearchSpaceTooLarge(total, tuple_cap)
 
-    base = np.zeros(ring.order, dtype=bool)
-    base[ideals[0].members] = True
+    base = flags_from_mask(ring.order, ideals[0].mask)
     best_val, digits = min_union_scan(base, [labels for _, labels in transversals], sizes)
     shift_els = [ring.zero]
     shift_els += [ring.element_at(int(reps[d])) for (reps, _), d in zip(transversals, digits)]
@@ -339,19 +338,18 @@ def theorem2_verify(
     # operations become index tables and each triple costs a few lookups
     # plus two mask operations.
     masks = [i.mask for i in ideals]
-    by_lattice = {i.lattice: t for t, i in enumerate(ideals)}
-    by_mask = {i.mask: t for t, i in enumerate(ideals)}
-    k = ring.k
-    sum_table = [[0] * n for _ in range(n)]
+    by_mask = {m: t for t, m in enumerate(masks)}
+    lattices = np.array([i.lattice for i in ideals], dtype=np.int64)
+    by_lattice = {key: t for t, key in enumerate(intmat.lattice_keys(lattices))}
+    sums = np.diag(np.arange(n))
+    for a, b, lats in intmat.lattice_pair_sums(lattices, ring._df):
+        sums[a, b] = sums[b, a] = [by_lattice[key] for key in intmat.lattice_keys(lats)]
+    sum_table = sums.tolist()
     inter_table = [[0] * n for _ in range(n)]
     for a in range(n):
-        sum_table[a][a] = a
         inter_table[a][a] = a
-        lat_a = ideals[a].lattice
         mask_a = masks[a]
         for b in range(a + 1, n):
-            s = by_lattice[intmat.lattice_sum(lat_a, ideals[b].lattice, k)]
-            sum_table[a][b] = sum_table[b][a] = s
             i = by_mask[mask_a & masks[b]]
             inter_table[a][b] = inter_table[b][a] = i
 

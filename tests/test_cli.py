@@ -152,9 +152,11 @@ def test_usage_errors_exit_one():
         (["--workers", "x", "sieve-min", "--moduli", "2,3"], None),
         (["sieve-min"], None),
         (["nosuch", "catalog:Z12"], None),
+        (["--carrier-bound", "10000000000", "validate", "{file}"],
+         "ring 1 3100000000\nmul 1 1 1\none 1\n"),
     ],
     ids=["ring-header", "mul-line", "order-header", "workers", "carrier-bound", "tuple-cap",
-         "workers-not-int", "missing-moduli", "unknown-command"],
+         "workers-not-int", "missing-moduli", "unknown-command", "int64-modulus"],
 )
 def test_malformed_input_ends_in_error_line(tmp_path, argv, text):
     path = tmp_path / "input.txt"

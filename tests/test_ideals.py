@@ -1,11 +1,16 @@
 """Ideal generation, enumeration, and lattice operations."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ringsieve import intmat
 from ringsieve.bitset import is_subset
+from ringsieve.catalog import ring_c1, socle_plane_ring
 from ringsieve.ideals import (
     all_ideals,
     annihilator,
@@ -18,7 +23,9 @@ from ringsieve.ideals import (
     minimal_ideals,
     zero_ideal,
 )
-from ringsieve.rings import make_cyclic
+from ringsieve.localstruct import units_mask
+from ringsieve.rings import make_cyclic, make_product
+from ringsieve.rogers import theorem2_verify
 
 
 def test_generated_by_four_in_z12(z12):
@@ -173,3 +180,54 @@ def test_minimal_ideals_of_f2xy_are_the_three_lines(f2xy):
     mins = minimal_ideals(f2xy)
     assert len(mins) == 3
     assert all(i.size == 2 for i in mins)
+
+
+# Each builder makes a fresh ring, so no cache filled by an earlier call is read.
+ENUMERATION_RINGS = {
+    "C1": ring_c1,
+    "F3xy": lambda: socle_plane_ring(3),
+    "Z4xZ6": lambda: make_product([make_cyclic(4), make_cyclic(6)])[0],
+    "Z3xF2xy": lambda: make_product([make_cyclic(3), socle_plane_ring(2)])[0],
+}
+
+
+def _enumeration(ring):
+    ideals = all_ideals(ring)
+    return ([(i.lattice, i.mask) for i in ideals], units_mask(ring).tolist(),
+            theorem2_verify(ring))
+
+
+@pytest.mark.parametrize("build", ENUMERATION_RINGS.values(), ids=ENUMERATION_RINGS)
+def test_enumeration_runs_no_python_hnf(build, monkeypatch):
+    expected = _enumeration(build())
+    ring = build()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("arbitrary-precision HNF called")
+
+    monkeypatch.setattr(intmat, "hnf", refuse)
+    monkeypatch.setattr(intmat, "hnf_full_rank", refuse)
+    assert _enumeration(ring) == expected
+
+
+def _peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("second", [lambda: socle_plane_ring(3), lambda: make_cyclic(60)],
+                         ids=["Z60xF3xy", "Z60xZ60"])
+def test_enumeration_memory_stays_bounded(second):
+    # chunked HNF batches peak at 0.4 and 0.7 MB here; one batch over every
+    # element or pair at once reached 2.4 and 2.9 MB
+    ring = make_product([make_cyclic(60), second()])[0]
+
+    def enumerate_and_verify():
+        all_ideals(ring)
+        theorem2_verify(ring)
+
+    assert _peak_mb(enumerate_and_verify) < 1.0

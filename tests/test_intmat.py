@@ -2,19 +2,23 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import det_bareiss, mat_mul
+from ringsieve import intmat
 from ringsieve.errors import RankDeficient
 from ringsieve.intmat import (
     hnf,
     hnf_full_rank,
+    hnf_mod,
     kernel,
     lattice_contains,
     lattice_det,
     lattice_intersect,
+    lattice_pair_sums,
     lattice_sum,
     snf,
     xgcd,
@@ -190,3 +194,70 @@ def test_hnf_span_matches_sympy():
         ours = hnf(mat)
         theirs = hermite_normal_form(sympy.Matrix(mat).T).T.tolist()
         assert hnf([[int(x) for x in row] for row in theirs]) == ours, mat
+
+
+# -- the batched modular kernel against the arbitrary-precision HNF ------------
+
+
+@st.composite
+def divisor_chains(draw):
+    """d_1 | d_2 | ... | d_k with some d_i = 1, up to the int64 bound."""
+    k = draw(st.integers(1, 4))
+    chain = [draw(st.sampled_from([1, 1, 2, 3, 4, 6, 9, 12, 60]))]
+    for _ in range(k - 1):
+        chain.append(chain[-1] * draw(st.sampled_from([1, 1, 2, 3, 5, 7])))
+    if draw(st.booleans()):
+        chain[-1] *= (2**31 - 1) // chain[-1]  # 2 * d_k^2 just below 2^63
+    return chain
+
+
+def _vectors(draw, d, count):
+    """Rows with entries in [0, d_l), mixed with zero rows and rows = 0 mod d."""
+    out = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["any", "any", "zero", "multiple"]))
+        if kind == "zero":
+            out.append([0] * len(d))
+        elif kind == "multiple":
+            out.append([c * draw(st.integers(-2, 2)) for c in d])
+        else:
+            out.append([draw(st.integers(0, c - 1)) for c in d])
+    return out
+
+
+@st.composite
+def lattices_containing(draw, d):
+    """HNF of diag(d) plus a few random rows."""
+    diag = [[c if i == j else 0 for j, c in enumerate(d)] for i in range(len(d))]
+    return hnf(diag + _vectors(draw, d, draw(st.integers(0, 3))))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hnf_mod_matches_hnf(data):
+    d = data.draw(divisor_chains())
+    k = len(d)
+    batch, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
+    bases = [data.draw(lattices_containing(d)) for _ in range(batch)]
+    rows = [_vectors(data.draw, d, m) for _ in range(batch)]
+    got = hnf_mod(np.array(bases, dtype=np.int64),
+                  np.array(rows, dtype=np.int64).reshape(batch, m, k),
+                  np.array(d, dtype=np.int64))
+    assert got.tolist() == [hnf(b + r) for b, r in zip(bases, rows)]
+
+
+@given(data=st.data(), chunk=st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_pair_sums_match_hnf_across_chunks(data, chunk):
+    d = data.draw(divisor_chains())
+    lattices = [data.draw(lattices_containing(d)) for _ in range(data.draw(st.integers(0, 6)))]
+    lo = data.draw(st.integers(0, len(lattices)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intmat, "HNF_CHUNK", chunk)
+        got = [(int(a), int(b), s.tolist())
+               for chunk_a, chunk_b, sums in lattice_pair_sums(
+                   np.array(lattices, dtype=np.int64).reshape(-1, len(d), len(d)),
+                   np.array(d, dtype=np.int64), lo)
+               for a, b, s in zip(chunk_a, chunk_b, sums)]
+    assert got == [(a, b, hnf(lattices[a] + lattices[b]))
+                   for a in range(lo, len(lattices)) for b in range(a)]

@@ -8,6 +8,7 @@ from ringsieve.errors import (
     IllFormedConstants,
     NotAssociative,
     NoUnit,
+    ValidationError,
     ZeroRingRejected,
 )
 from ringsieve.ideals import all_ideals, ideal_generated
@@ -161,6 +162,21 @@ def test_large_modulus_does_not_overflow_int64():
     for i, j in [(d - 1, d - 1), (d - 2, d - 5), (1_024_809, d - 1), (d - 1, 2)]:
         assert ring.mul_idx(i, j) == (-i * j) % d
     assert [e.coords for e in idempotents(ring)] == [(0,), (d - 1,)]
+
+
+def test_moduli_past_the_int64_bound_are_rejected():
+    # the modular HNF needs 2 * d_k^2 < 2^63; the check runs before any
+    # carrier array exists, so a carrier bound that admits d costs nothing
+    def cyclic(d):
+        return RingPresentation(invariant_factors=(d,), structure_constants={(0, 0): (1,)},
+                                unit=(1,))
+
+    with pytest.raises(ValidationError, match="int64"):
+        validate_ring(cyclic(3_100_000_000), carrier_bound=10**10)
+    with pytest.raises(ValidationError, match="int64"):
+        validate_ring(cyclic(2**31))
+    with pytest.raises(CarrierTooLarge):  # 2^31 - 1 passes the int64 rule
+        validate_ring(cyclic(2**31 - 1))
 
 
 def test_axioms_exhaustive_on_assorted_small_rings(small_rings):
