@@ -7,6 +7,9 @@ The lattice view makes sums and spans cheap exact HNF computations; the
 mask view makes equality, intersection and containment single big-int ops.
 """
 
+import itertools
+from array import array
+
 import numpy as np
 
 from . import intmat
@@ -124,14 +127,13 @@ def ideal_generated(ring: FiniteRing, gens) -> Ideal:
 
 def ideal_from_members(ring: FiniteRing, member_indices) -> Ideal:
     """Ideal with exactly these members; raises if the set is not an ideal."""
-    rows = [[int(c) for c in ring._coords[int(i)]] for i in member_indices]
-    lat = intmat.hnf_full_rank(rows + ring.diag_rows(), ring.k)
+    members = np.asarray(member_indices, dtype=np.int64)
+    lat = intmat.hnf_full_rank(ring._coords[members].tolist() + ring.diag_rows(), ring.k)
     ideal = Ideal(ring, lat)
-    expected = mask_from_indices(ring.order, member_indices)
-    if ideal.mask != expected:
+    if ideal.mask != mask_from_indices(ring.order, members):
         raise ValidationError("member set is not additively closed")
-    closure = ideal_generated(ring, [ring.element_at(int(i)) for i in member_indices])
-    if closure.mask != expected:
+    # the set spans the lattice, and a set generates the ideal its span does
+    if ideal_generated(ring, lat).mask != ideal.mask:
         raise ValidationError("member set is not closed under multiplication")
     return ideal
 
@@ -166,37 +168,58 @@ def _from_keys(keys, k: int) -> np.ndarray:
 
 
 def all_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Every ideal exactly once, sorted by (cardinality, member list).
+    """Every ideal exactly once, sorted by (cardinality, member list)."""
+    return list(_ideals_and_joins(ring)[0])
+
+
+def join_table(ring: FiniteRing) -> np.ndarray:
+    """Read-only n x n table: ``join[a, b]`` is the position in
+    ``all_ideals(ring)`` of the sum of ideals a and b."""
+    return _ideals_and_joins(ring)[1]
+
+
+def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[Ideal, ...], np.ndarray]:
+    """The sorted ideals and their join table, built once per ring.
 
     Starts from the principal ideals, the zero ideal among them, and
     closes under pairwise sum, pairing each round's new lattices with all
     earlier ones: every ideal is a finite sum of principal ideals, so the
-    fixpoint is complete.
+    fixpoint is complete, and every pair of ideals is summed exactly once.
+    Each sum's lattice key is looked up (or entered) with a fresh id, so
+    the sums, read in the order ``lattice_pair_sums`` yields them, fill
+    the lower triangle of the join table.
     """
-    if ring._ideal_cache is not None:
-        return list(ring._ideal_cache)
-    seen = dict.fromkeys(intmat.lattice_keys(principal_lattices(ring)[0]))
-    paired = 0  # the first ``paired`` lattices have been summed with each other
-    while paired < len(seen):
-        lattices = _from_keys(seen, ring.k)
-        for _, _, sums in intmat.lattice_pair_sums(lattices, ring._df, paired):
-            seen.update(dict.fromkeys(intmat.lattice_keys(sums)))
-        paired = len(lattices)
-    n = ring.order
-    entries = []
-    for rows in lattices.tolist():
-        lattice = tuple(map(tuple, rows))
-        members = _lattice_members(ring, lattice)
-        # Sorted member lists first differ at the least index in one set
-        # only; the bit-reversed mask puts that index highest, so the
-        # larger reversed mask holds the lexicographically smaller list.
-        order_key = -mask_from_indices(n, n - 1 - members)
-        ideal = Ideal(ring, lattice, _mask=mask_from_indices(n, members))
-        entries.append((len(members), order_key, ideal))
-    entries.sort(key=lambda e: e[:2])
-    ideals = [e[2] for e in entries]
-    ring._ideal_cache = tuple(ideals)
-    return ideals
+    if ring._ideal_cache is None:
+        ids = itertools.count()
+        seen = dict(zip(intmat.lattice_keys(principal_lattices(ring)[0]), ids))  # key -> id
+        sum_ids = array("q")  # id of each pair sum b < a, in lattice_pair_sums order
+        paired = 0  # the first ``paired`` lattices have been summed with each other
+        while paired < len(seen):
+            lattices = _from_keys(seen, ring.k)
+            for _, _, sums in intmat.lattice_pair_sums(lattices, ring._df, paired):
+                sum_ids.extend(map(seen.setdefault, intmat.lattice_keys(sums), ids))
+            paired = len(lattices)
+        ideals, order_keys = [], []
+        for rows in lattices.tolist():
+            lattice = tuple(map(tuple, rows))
+            members = _lattice_members(ring, lattice)
+            # big-endian bytes compare as the sorted member lists do
+            order_keys.append((len(members), members.astype(">u8").tobytes()))
+            ideals.append(Ideal(ring, lattice, _mask=mask_from_indices(ring.order, members)))
+        order = np.array(sorted(range(len(ideals)), key=order_keys.__getitem__))
+        n = len(order)
+        dtype = np.min_scalar_type(n - 1)
+        ids_by_lattice = np.fromiter(seen.values(), np.int64, n)
+        position = np.zeros(next(ids), dtype=dtype)  # id -> sorted position
+        position[ids_by_lattice[order]] = np.arange(n)
+        joins = np.empty((n, n), dtype=dtype)  # by lattice number
+        lower = np.tri(n, k=-1, dtype=bool)  # row-major, its cells are the pairs b < a in order
+        joins[lower] = joins.T[lower] = position[np.frombuffer(sum_ids, dtype=np.int64)]
+        joins.flat[::n + 1] = position[ids_by_lattice]
+        join = joins[order][:, order]
+        join.flags.writeable = False
+        ring._ideal_cache = (tuple(ideals[p] for p in order.tolist()), join)
+    return ring._ideal_cache
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:

@@ -14,6 +14,8 @@ from .errors import VerificationFailed, ZeroRingRejected
 from .ideals import Ideal, ideal_generated, is_chain, principal_lattices
 from .rings import Element, FiniteRing, RingHom, make_product, make_quotient
 
+IDEMPOTENT_CHUNK = 1 << 12  # idempotent pairs per batched product in primitive_idempotents
+
 
 @dataclass(frozen=True)
 class LocalDecomposition:
@@ -58,18 +60,23 @@ def idempotents(ring: FiniteRing) -> list[Element]:
 
 
 def primitive_idempotents(ring: FiniteRing) -> list[Element]:
-    """Minimal nonzero idempotents under e <= f iff e*f = e, in carrier order."""
+    """Minimal nonzero idempotents under e <= f iff e*f = e, in carrier order.
+
+    Every product e*f is computed in batches of about IDEMPOTENT_CHUNK
+    pairs, reducing between the two products as :func:`idempotents` does.
+    """
     _reject_zero(ring)
     idems = [e for e in idempotents(ring) if e.index != 0]
+    coords = ring._coords[[e.index for e in idems]]
+    df = ring._df
+    mats = np.einsum("fi,ijl->fjl", coords, ring._sc) % df  # row j of mats[f] is b_j * f
+    step = max(1, IDEMPOTENT_CHUNK // len(idems))
     prim = []
-    for e in idems:
-        minimal = True
-        for f in idems:
-            if f.index != e.index and ring.mul(e, f) == f:
-                minimal = False  # f is a nonzero idempotent strictly below e
-                break
-        if minimal:
-            prim.append(e)
+    for lo in range(0, len(idems), step):
+        prods = np.einsum("ej,fjl->efl", coords[lo:lo + step], mats) % df  # prods[e, f] = e * f
+        below = np.all(prods == coords, axis=-1)  # below[e, f]: f <= e
+        below[np.arange(len(below)), np.arange(lo, lo + len(below))] = False
+        prim += [e for e, lower in zip(idems[lo:], below.any(axis=1)) if not lower]
     return prim
 
 

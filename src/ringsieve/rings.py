@@ -128,7 +128,7 @@ class FiniteRing:
         self.zero = Element(self, (0,) * self.k)
         self.is_zero = self.order == 1
         self._coords_cache: np.ndarray | None = None
-        self._ideal_cache = None  # filled lazily by ideals.all_ideals
+        self._ideal_cache = None  # (ideals, join table), filled lazily by ideals.all_ideals
         self._principal_cache = None  # filled lazily by ideals.principal_lattices
 
     # -- carrier bookkeeping ------------------------------------------------

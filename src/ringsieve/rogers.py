@@ -19,7 +19,7 @@ from math import comb, prod
 
 import numpy as np
 
-from . import config, intmat
+from . import config
 from .bitset import flags_from_mask, lowest_bit, mask_from_indices, min_union_scan
 from .errors import (
     AlreadyChainLocalProduct,
@@ -38,9 +38,12 @@ from .ideals import (
     ideal_intersect,
     ideal_sum,
     ideal_from_members,
+    join_table,
 )
 from .localstruct import ClassificationVerdict, classify, is_local
 from .rings import Element, FiniteRing, make_quotient
+
+TRIPLE_CHUNK = 1 << 15  # ideal triples (and meet-table cells) per numpy pass of theorem2_verify
 
 
 @dataclass(frozen=True)
@@ -274,10 +277,7 @@ def _pull_back(ring: FiniteRing, proj, witness: Witness, shifts) -> Witness:
     imap = proj.index_map()
     ideals = []
     for ideal in witness.ideals:
-        member_flags = np.array(
-            [(ideal.mask >> int(t)) & 1 for t in range(proj.target.order)], dtype=bool
-        )
-        members = np.nonzero(member_flags[imap])[0]
+        members = np.nonzero(flags_from_mask(proj.target.order, ideal.mask)[imap])[0]
         ideals.append(ideal_from_members(ring, members))
     report = rogers_check(ring, tuple(ideals), shifts=shifts)
     return Witness(
@@ -319,11 +319,12 @@ def theorem2_verify(
     """True iff every ideal triple (and, opting in, every tuple up to
     ``r_max``) survives shift minimization.
 
-    Triples are decided by the exact intersection-pattern criterion; every
-    negative verdict is confirmed by evaluating an explicit shrinking
-    tuple before returning.  Must agree with the chain-local-product
-    classification on every ring; the acceptance suite asserts exactly
-    that.
+    Triples are decided by the exact intersection-pattern criterion, on
+    the ideals' join and meet tables; every negative verdict is confirmed
+    by evaluating an explicit shrinking tuple before returning.  Raises
+    SearchSpaceTooLarge when the multisets of ``r_max`` ideals outnumber
+    ``tuple_cap``.  Must agree with the chain-local-product classification
+    on every ring; the acceptance suite asserts exactly that.
     """
     if ring.is_zero:
         raise ZeroRingRejected("verification undefined for the order-1 ring")
@@ -331,51 +332,74 @@ def theorem2_verify(
         raise ValueError("r_max below 3 checks nothing the pair theory does not cover")
     ideals = all_ideals(ring)
     n = len(ideals)
-    if comb(n + 2, 3) > tuple_cap:
-        raise SearchSpaceTooLarge(comb(n + 2, 3), tuple_cap)
+    # multisets of r_max ideals outnumber those of every smaller size
+    required = comb(n + r_max - 1, r_max)
+    if required > tuple_cap:
+        raise SearchSpaceTooLarge(required, tuple_cap)
 
-    # The enumerated list is closed under sum and intersection, so both
-    # operations become index tables and each triple costs a few lookups
-    # plus two mask operations.
-    masks = [i.mask for i in ideals]
-    by_mask = {m: t for t, m in enumerate(masks)}
-    lattices = np.array([i.lattice for i in ideals], dtype=np.int64)
-    by_lattice = {key: t for t, key in enumerate(intmat.lattice_keys(lattices))}
-    sums = np.diag(np.arange(n))
-    for a, b, lats in intmat.lattice_pair_sums(lattices, ring._df):
-        sums[a, b] = sums[b, a] = [by_lattice[key] for key in intmat.lattice_keys(lats)]
-    sum_table = sums.tolist()
-    inter_table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        inter_table[a][a] = a
-        mask_a = masks[a]
-        for b in range(a + 1, n):
-            i = by_mask[mask_a & masks[b]]
-            inter_table[a][b] = inter_table[b][a] = i
+    join = join_table(ring)
+    meet = _meet_table(join)
+    failing = _first_failing_triple(join, meet)
+    if failing is not None:
+        a, b, c = failing
+        masks = [ideals[t].mask for t in (join[a, c], join[b, c], join[meet[a, b], c])]
+        gap = masks[0] & masks[1] & ~masks[2]
+        if not gap:
+            raise VerificationFailed("triple tables disagree with the ideal masks")
+        shifts = (ring.zero, ring.zero, ring.element_at(lowest_bit(gap)))
+        confirm = rogers_check(ring, (ideals[a], ideals[b], ideals[c]), shifts=shifts)
+        if confirm.satisfied:
+            raise VerificationFailed("pattern criterion disagrees with evaluation")
+        return False
 
-    complement = [~m for m in masks]
-    for a in range(n):
-        sums_a = sum_table[a]
-        inter_a = inter_table[a]
-        for b in range(a, n):
-            sums_b = sum_table[b]
-            ab = inter_a[b]
-            sums_ab = sum_table[ab]
-            for c in range(b, n):
-                gap = masks[sums_a[c]] & masks[sums_b[c]] & complement[sums_ab[c]]
-                if gap:
-                    v = ring.element_at(lowest_bit(gap))
-                    shifts = (ring.zero, ring.zero, v)
-                    confirm = rogers_check(ring, (ideals[a], ideals[b], ideals[c]), shifts=shifts)
-                    if confirm.satisfied:
-                        raise VerificationFailed("pattern criterion disagrees with evaluation")
-                    return False
-
-    if r_max > 3:
-        for size in range(4, r_max + 1):
-            if not _verify_tuples_of_size(ring, ideals, size, tuple_cap):
-                return False
+    for size in range(4, r_max + 1):
+        if not _verify_tuples_of_size(ring, ideals, size, tuple_cap):
+            return False
     return True
+
+
+def _meet_table(join: np.ndarray) -> np.ndarray:
+    """``meet[a, b]``: the position of the intersection of ideals a and b.
+
+    The intersection is among the ideals and holds every ideal below both,
+    and the ideals are sorted by size, so it is the last ideal below both;
+    ``join[c, a] == a`` says that ideal c lies below ideal a.
+    """
+    n = len(join)
+    below = (join == np.arange(n)).T[:, ::-1]  # below[a, n - 1 - c]: ideal c lies in ideal a
+    meet = np.empty_like(join)
+    step = max(1, TRIPLE_CHUNK // (n * n))
+    for lo in range(0, n, step):
+        meet[lo:lo + step] = n - 1 - np.argmax(below[lo:lo + step, None] & below[None], axis=-1)
+    return meet
+
+
+def _first_failing_triple(join: np.ndarray, meet: np.ndarray) -> tuple[int, int, int] | None:
+    """First ideal triple (a, b >= a, c >= b), in that order, that breaks
+    (I_a + I_c) & (I_b + I_c) <= (I_a & I_b) + I_c, or None.
+
+    With X, Y, Z the three sides, the triple breaks it iff
+    meet[meet[X, Y], Z] != meet[X, Y].  The a-rows go in chunks of about
+    TRIPLE_CHUNK triples, each spanning b, c >= the chunk's first a.
+    """
+    n = len(join)
+    lo = 0
+    while lo < n:
+        m = n - lo
+        hi = min(n, lo + max(1, TRIPLE_CHUNK // (m * m)))
+        x = join[lo:hi, None, lo:]  # I_a + I_c
+        y = join[None, lo:, lo:]  # I_b + I_c
+        z = join[:, lo:][meet[lo:hi, lo:]]  # (I_a & I_b) + I_c
+        xy = meet[x, y]
+        fails = meet[xy, z] != xy
+        fails &= (np.arange(m) >= np.arange(hi - lo)[:, None])[:, :, None]  # b >= a
+        fails &= np.tri(m, dtype=bool).T  # c >= b
+        first = int(np.argmax(fails))
+        if fails.flat[first]:
+            r, b, c = np.unravel_index(first, fails.shape)
+            return lo + int(r), lo + int(b), lo + int(c)
+        lo = hi
+    return None
 
 
 def _verify_tuples_of_size(ring, ideals, size, tuple_cap) -> bool:

@@ -261,3 +261,58 @@ def hom_preserves_operations(hom) -> bool:
             if imap[s.mul_idx(i, j)] != t.mul_idx(imap[i], imap[j]):
                 return False
     return hom(s.unit) == t.unit
+
+
+def first_failing_triple(ring, ideals) -> tuple[int, int, int] | None:
+    """First (a, b, c) with a <= b <= c, in lexicographic order, whose ideals
+    break (I_a + I_c) & (I_b + I_c) <= (I_a & I_b) + I_c, or None.
+
+    Member sets are read off the masks; sums are sets of pairwise sums,
+    intersections are set intersections."""
+    sets = [frozenset(i for i in range(ring.order) if (ideal.mask >> i) & 1) for ideal in ideals]
+    sums = {}
+
+    def plus(x, y):
+        if (x, y) not in sums:
+            # x is a subgroup, so x + y is the union of the cosets x + b, b in y
+            out = set(x)
+            for b in y:
+                if b not in out:
+                    out |= {ring.add_idx(a, b) for a in x}
+            sums[x, y] = frozenset(out)
+        return sums[x, y]
+
+    n = len(sets)
+    for a in range(n):
+        for b in range(a, n):
+            meet = sets[a] & sets[b]
+            for c in range(b, n):
+                if (plus(sets[a], sets[c]) & plus(sets[b], sets[c])) - plus(meet, sets[c]):
+                    return a, b, c
+    return None
+
+
+def product_by_python_ints(ring, i, j) -> int:
+    """Carrier index of x_i * x_j, from the presentation's structure
+    constants in Python integers."""
+    pres = ring.presentation
+    table = {}
+    for (p, q), vec in pres.structure_constants.items():
+        table[p, q] = table[q, p] = vec
+    x, y = ring.coords_of(i), ring.coords_of(j)
+    out = [0] * ring.k
+    for (p, q), vec in table.items():
+        for l, c in enumerate(vec):
+            out[l] += x[p] * y[q] * c
+    return ring.index_of(out)
+
+
+def primitive_idempotents_pairwise(ring, candidates=None) -> list[int]:
+    """Carrier indices, in carrier order, of the nonzero idempotents e with
+    no nonzero idempotent f != e such that e * f = f; every product in
+    Python integers.  ``candidates`` (default: the whole carrier) are the
+    indices searched for idempotents."""
+    pool = range(ring.order) if candidates is None else sorted(candidates)
+    idems = [x for x in pool if x != 0 and product_by_python_ints(ring, x, x) == x]
+    return [e for e in idems
+            if not any(f != e and product_by_python_ints(ring, e, f) == f for f in idems)]

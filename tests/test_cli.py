@@ -24,6 +24,12 @@ def test_verify_theorem2_true_exits_zero():
     assert "satisfied_all_triples=true" in out
 
 
+def test_verify_theorem2_rmax_four():
+    for ring, code, verdict in [("catalog:Zn:60", 0, "true"), ("catalog:F2xy", 2, "false")]:
+        got = run_cli(["--format", "machine", "verify-theorem2", ring, "--rmax", "4"])
+        assert got[:2] == (code, f"record=verdict satisfied_all_triples={verdict}\n")
+
+
 def test_counterexample_prints_witness_and_exits_two():
     code, out, _ = run_cli(["counterexample", "catalog:F2xy"])
     assert code == 2
@@ -154,9 +160,11 @@ def test_usage_errors_exit_one():
         (["nosuch", "catalog:Z12"], None),
         (["--carrier-bound", "10000000000", "validate", "{file}"],
          "ring 1 3100000000\nmul 1 1 1\none 1\n"),
+        (["verify-theorem2", "catalog:Zn:60", "--rmax", "30"], None),
     ],
     ids=["ring-header", "mul-line", "order-header", "workers", "carrier-bound", "tuple-cap",
-         "workers-not-int", "missing-moduli", "unknown-command", "int64-modulus"],
+         "workers-not-int", "missing-moduli", "unknown-command", "int64-modulus",
+         "rmax-past-tuple-cap"],
 )
 def test_malformed_input_ends_in_error_line(tmp_path, argv, text):
     path = tmp_path / "input.txt"

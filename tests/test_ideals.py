@@ -1,5 +1,6 @@
 """Ideal generation, enumeration, and lattice operations."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,17 @@ import oracles
 from ringsieve import intmat
 from ringsieve.bitset import is_subset
 from ringsieve.catalog import ring_c1, socle_plane_ring
+from ringsieve.errors import ValidationError
 from ringsieve.ideals import (
     all_ideals,
     annihilator,
+    ideal_from_members,
     ideal_generated,
     ideal_intersect,
     ideal_product,
     ideal_sum,
     is_chain,
+    join_table,
     lattice_op,
     minimal_ideals,
     zero_ideal,
@@ -231,3 +235,45 @@ def test_enumeration_memory_stays_bounded(second):
         theorem2_verify(ring)
 
     assert _peak_mb(enumerate_and_verify) < 1.0
+
+
+def test_join_table_indexes_ideal_sums(small_rings, f3xy):
+    for ring in small_rings + [f3xy, make_product([make_cyclic(12), socle_plane_ring(2)])[0]]:
+        ideals = all_ideals(ring)
+        join = join_table(ring)
+        assert join.shape == (len(ideals), len(ideals))
+        for a, b in itertools.product(range(len(ideals)), repeat=2):
+            assert ideals[join[a, b]] == ideal_sum(ideals[a], ideals[b])
+
+
+def test_ideal_from_members_rejects_sets_that_are_not_ideals(z12, f2xy):
+    with pytest.raises(ValidationError, match="additively closed"):
+        ideal_from_members(z12, [0, 1])
+    # {0, 1} is an additive subgroup of F_2[x, y]/(x, y)^2, but x * 1 = x is not in it
+    with pytest.raises(ValidationError, match="multiplication"):
+        ideal_from_members(f2xy, [0, f2xy.unit.index])
+    for ideal in all_ideals(f2xy):
+        assert ideal_from_members(f2xy, ideal.members) == ideal
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ideal_from_members_matches_closure_oracle(small_rings, data):
+    ring = data.draw(st.sampled_from([r for r in small_rings if r.order <= 16]))
+    picks = data.draw(st.sets(st.integers(0, ring.order - 1), max_size=4))
+    members = {0} | picks
+    if data.draw(st.booleans()):  # close under addition, so some sets are subgroups
+        while True:
+            grown = members | {ring.add_idx(a, b) for a in members for b in members}
+            if grown == members:
+                break
+            members = grown
+    additive = all(ring.add_idx(a, b) in members for a in members for b in members)
+    ideal = oracles.ideal_closure_fixpoint(ring, members) == members
+    if ideal:
+        got = ideal_from_members(ring, sorted(members))
+        assert {int(m) for m in got.members} == members
+    else:
+        with pytest.raises(ValidationError,
+                           match="multiplication" if additive else "additively closed"):
+            ideal_from_members(ring, sorted(members))

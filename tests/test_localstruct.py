@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from ringsieve.bitset import is_subset
-from ringsieve.catalog import finite_field, socle_plane_ring
+from ringsieve import localstruct
+from ringsieve.catalog import dual_numbers, finite_field, ring_c1, socle_plane_ring
 from ringsieve.errors import ZeroRingRejected
 from ringsieve.ideals import all_ideals, annihilator, ideal_product, minimal_ideals
 from ringsieve.localstruct import (
@@ -16,7 +17,7 @@ from ringsieve.localstruct import (
     primitive_idempotents,
     units_mask,
 )
-from ringsieve.rings import make_cyclic, make_product
+from ringsieve.rings import RingPresentation, make_cyclic, make_product, validate_ring
 
 
 def test_idempotents_z12(z12):
@@ -107,6 +108,35 @@ def test_primitive_idempotent_properties(small_rings):
         for i, e in enumerate(prim):
             for f in prim[i + 1:]:
                 assert ring.mul(e, f) == ring.zero
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+def test_primitive_idempotents_match_pairwise_oracle(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(localstruct, "IDEMPOTENT_CHUNK", chunk)
+    rings = [
+        ring_c1(),  # one local factor
+        make_cyclic(12),  # two
+        make_product([make_cyclic(6), dual_numbers(2)])[0],  # three
+        make_cyclic(210),  # four
+        make_product([make_cyclic(2), make_cyclic(3), finite_field(4), socle_plane_ring(2)])[0],
+    ]
+    for ring in rings:
+        got = [e.index for e in primitive_idempotents(ring)]
+        assert got == oracles.primitive_idempotents_pairwise(ring)
+
+
+@pytest.mark.parametrize("d", [3_000_017, 3_000_014])
+def test_primitive_idempotents_of_large_moduli(d):
+    # Z/d with b*b = -b: e*f*c reaches d^3 > 2^63 unless the batched product
+    # is reduced between its two factors; Z/(2 * 1,500,007) has four idempotents
+    pres = RingPresentation(invariant_factors=(d,), structure_constants={(0, 0): (-1,)},
+                            unit=(-1,))
+    ring = validate_ring(pres, carrier_bound=d)
+    candidates = [e.index for e in idempotents(ring)]
+    got = [e.index for e in primitive_idempotents(ring)]
+    assert got == oracles.primitive_idempotents_pairwise(ring, candidates)
+    assert len(got) == (1 if d == 3_000_017 else 2)
 
 
 def test_factors_are_local_and_orders_multiply(small_rings):

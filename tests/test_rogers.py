@@ -1,12 +1,14 @@
 """The shift-minimization engine: reports, witnesses, whole-ring verification."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ringsieve import catalog, rogers
 from ringsieve.catalog import finite_field, ring_c1, socle_plane_ring
 from ringsieve.errors import (
     AlreadyChainLocalProduct,
@@ -14,7 +16,7 @@ from ringsieve.errors import (
     UniqueMinimalIdeal,
     ZeroRingRejected,
 )
-from ringsieve.ideals import all_ideals, ideal_generated
+from ringsieve.ideals import all_ideals, ideal_generated, ideal_intersect, join_table
 from ringsieve.localstruct import classify
 from ringsieve.rogers import (
     coset_representatives,
@@ -24,7 +26,7 @@ from ringsieve.rogers import (
     theorem2_verify,
     triple_is_satisfied,
 )
-from ringsieve.rings import make_cyclic, make_product
+from ringsieve.rings import make_cyclic, make_product, make_quotient
 
 
 def _three_lines(f2xy):
@@ -319,6 +321,62 @@ def test_theorem2_higher_r(z12, f2xy):
     assert theorem2_verify(f2xy, r_max=4) is False
     with pytest.raises(ValueError):
         theorem2_verify(z12, r_max=2)
+    # Z12 has 6 ideals: 126 multisets of size 4, 3,003 of size 10
+    assert theorem2_verify(z12, r_max=4, tuple_cap=comb(9, 4)) is True
+    with pytest.raises(SearchSpaceTooLarge):
+        theorem2_verify(z12, r_max=4, tuple_cap=comb(9, 4) - 1)
+    with pytest.raises(SearchSpaceTooLarge):
+        theorem2_verify(z12, r_max=10, tuple_cap=comb(15, 10) - 1)
+
+
+SMALL_CATALOG = ("Zn:2", "Zn:4", "Zn:6", "Zn:8", "Zn:9", "Zn:12", "Fq:4", "dual:2", "dual:3",
+                 "socle2:2", "socle2:3", "C1")
+
+
+@st.composite
+def catalog_rings_and_quotients(draw):
+    """A small catalog ring or product of two, or a quotient of a product
+    by one of its proper ideals."""
+    names = draw(st.lists(st.sampled_from(SMALL_CATALOG), min_size=1, max_size=2))
+    factors = [catalog.resolve(name)[1] for name in names]
+    if len(factors) == 1:
+        return factors[0]
+    if factors[0].order * factors[1].order > 100:
+        factors = factors[:1]
+    ring = factors[0] if len(factors) == 1 else make_product(factors)[0]
+    if draw(st.booleans()):
+        ideal = draw(st.sampled_from(all_ideals(ring)[:-1]))
+        ring = make_quotient(ring, ideal)[0]
+    return ring
+
+
+@given(ring=catalog_rings_and_quotients(), chunk=st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7]))
+@settings(max_examples=40, deadline=None)
+def test_triple_kernel_matches_set_oracle(ring, chunk):
+    ideals = all_ideals(ring)
+    expected = oracles.first_failing_triple(ring, ideals)
+    confirmed = []
+    real_check = rogers.rogers_check
+
+    def record(ring_, triple, **kwargs):
+        confirmed.append(tuple(ideals.index(i) for i in triple))
+        return real_check(ring_, triple, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(rogers, "TRIPLE_CHUNK", chunk)
+        mp.setattr(rogers, "rogers_check", record)
+        holds = theorem2_verify(ring)
+    assert holds == (expected is None)
+    assert confirmed == ([] if expected is None else [expected])
+
+
+def test_meet_table_indexes_intersections(small_rings, f3xy):
+    for ring in small_rings + [f3xy, make_product([make_cyclic(12), socle_plane_ring(2)])[0]]:
+        ideals = all_ideals(ring)
+        meet = rogers._meet_table(join_table(ring))
+        for a, b in itertools.product(range(len(ideals)), repeat=2):
+            assert ideals[meet[a, b]] == ideal_intersect(ideals[a], ideals[b])
 
 
 def test_triple_criterion_against_full_scan(small_rings):

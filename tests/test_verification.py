@@ -32,10 +32,43 @@ except VerificationFailed as exc:
 """
 
 
-def test_broken_reverification_raises_under_optimize():
+UNCONFIRMED_TRIPLE = """
+import dataclasses
+import sys
+import ringsieve.rogers as rogers
+from ringsieve.catalog import socle_plane_ring
+from ringsieve.errors import VerificationFailed
+
+real_check = rogers.rogers_check
+rogers.rogers_check = lambda *a, **kw: dataclasses.replace(real_check(*a, **kw), satisfied=True)
+try:
+    rogers.theorem2_verify(socle_plane_ring(2))
+except VerificationFailed as exc:
+    print(f"optimize={sys.flags.optimize} raised: {exc}")
+rogers.rogers_check = real_check
+rogers._first_failing_triple = lambda join, meet: (0, 0, 0)  # the zero ideal breaks nothing
+try:
+    rogers.theorem2_verify(socle_plane_ring(2))
+except VerificationFailed as exc:
+    print(f"optimize={sys.flags.optimize} raised: {exc}")
+"""
+
+
+def _run_optimized(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_DECOMPOSITION], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "optimize=1 raised: decomposition produced a non-local factor\n"
+    return proc.stdout
+
+
+def test_broken_reverification_raises_under_optimize():
+    assert _run_optimized(BROKEN_DECOMPOSITION) == (
+        "optimize=1 raised: decomposition produced a non-local factor\n")
+
+
+def test_unconfirmed_triple_raises_under_optimize():
+    assert _run_optimized(UNCONFIRMED_TRIPLE) == (
+        "optimize=1 raised: pattern criterion disagrees with evaluation\n"
+        "optimize=1 raised: triple tables disagree with the ideal masks\n")
