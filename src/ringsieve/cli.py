@@ -160,7 +160,7 @@ def _cmd_classify(args, cfg):
     ])]
     for idx, is_loc, chain in verdict.per_factor:
         records.append((f"factor_{idx}", [
-            ("order", verdict.decomposition.factors[idx].order),
+            ("order", verdict.decomposition.factor_ideals[idx].size),
             ("local", is_loc),
             ("chain", chain),
         ]))

@@ -169,7 +169,7 @@ def _from_keys(keys, k: int) -> np.ndarray:
 
 def all_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every ideal exactly once, sorted by (cardinality, member list)."""
-    return list(_ideals_and_joins(ring)[0])
+    return [Ideal(ring, lattice, _mask=mask) for lattice, mask in _ideals_and_joins(ring)[0]]
 
 
 def join_table(ring: FiniteRing) -> np.ndarray:
@@ -178,8 +178,9 @@ def join_table(ring: FiniteRing) -> np.ndarray:
     return _ideals_and_joins(ring)[1]
 
 
-def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[Ideal, ...], np.ndarray]:
-    """The sorted ideals and their join table, built once per ring.
+def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[tuple[Lattice, int], ...], np.ndarray]:
+    """The sorted ideals, as (lattice, mask) pairs, and their join table,
+    built once per ring.
 
     Starts from the principal ideals, the zero ideal among them, and
     closes under pairwise sum, pairing each round's new lattices with all
@@ -187,7 +188,9 @@ def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[Ideal, ...], np.ndarray]:
     fixpoint is complete, and every pair of ideals is summed exactly once.
     Each sum's lattice key is looked up (or entered) with a fresh id, so
     the sums, read in the order ``lattice_pair_sums`` yields them, fill
-    the lower triangle of the join table.
+    the lower triangle of the join table.  The ring keeps no Ideal, which
+    would refer back to it: a dropped ring is freed at once, not by the
+    cycle collector.
     """
     if ring._ideal_cache is None:
         ids = itertools.count()
@@ -205,7 +208,7 @@ def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[Ideal, ...], np.ndarray]:
             members = _lattice_members(ring, lattice)
             # big-endian bytes compare as the sorted member lists do
             order_keys.append((len(members), members.astype(">u8").tobytes()))
-            ideals.append(Ideal(ring, lattice, _mask=mask_from_indices(ring.order, members)))
+            ideals.append((lattice, mask_from_indices(ring.order, members)))
         order = np.array(sorted(range(len(ideals)), key=order_keys.__getitem__))
         n = len(order)
         dtype = np.min_scalar_type(n - 1)

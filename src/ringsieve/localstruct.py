@@ -1,36 +1,39 @@
 """Idempotents, decomposition into local factors, and the chain-local test.
 
-A finite commutative ring splits along its primitive idempotents into
-local factors; the classification predicate asks every factor to have
-linearly ordered ideals.  Factors are materialized as standalone rings
-(quotients by the complementary idempotent's ideal), never as views.
+A finite commutative ring R splits along its primitive idempotents e into
+the local factors eR; the classification predicate asks every factor to
+have linearly ordered ideals.  Each factor is decided as the ideal eR of
+R itself, from R's unit flags: no factor ring is built here, and
+rogers.counterexample builds one (R / (1 - e)R) only for the factor its
+witness lives in.
 """
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
 from .errors import VerificationFailed, ZeroRingRejected
-from .ideals import Ideal, ideal_generated, is_chain, principal_lattices
-from .rings import Element, FiniteRing, RingHom, make_product, make_quotient
+from .ideals import Ideal, ideal_generated, ideal_product, principal_lattices
+from .rings import Element, FiniteRing
 
 IDEMPOTENT_CHUNK = 1 << 12  # idempotent pairs per batched product in primitive_idempotents
 
 
 @dataclass(frozen=True)
 class LocalDecomposition:
-    """Primitive idempotents with the matching local factors.
+    """Primitive idempotents e_i with the local factors e_i R, all ideals of R.
 
-    ``embeddings[i]`` is the projection realizing factor i; jointly they
-    give the isomorphism onto the product of the factors, which is
-    re-verified exhaustively on the carrier at construction time.
-    ``maximal_ideals[i]`` is factor i's maximal ideal, found by the locality check.
+    The split is re-verified on R at construction time: the e_i are
+    pairwise orthogonal and sum to 1, the |e_i R| multiply to |R|, and
+    every e_i R is local, so x -> (e_i x) is an isomorphism of R onto the
+    product of the e_i R.  ``maximal_ideals[i]`` is the maximal ideal of
+    e_i R (its non-units), found by the locality check.
     """
 
     ring: FiniteRing
     idempotents: tuple[Element, ...]
-    factors: tuple[FiniteRing, ...]
-    embeddings: tuple[RingHom, ...]
+    factor_ideals: tuple[Ideal, ...]
     maximal_ideals: tuple[Ideal, ...]
 
 
@@ -94,95 +97,62 @@ def units_mask(ring: FiniteRing) -> np.ndarray:
 def is_local(ring: FiniteRing) -> tuple[bool, Ideal | None]:
     """True iff the non-units form an ideal; returns that ideal when they do."""
     _reject_zero(ring)
-    nonunits = np.nonzero(~units_mask(ring))[0]
+    maximal = _maximal_ideal(ideal_generated(ring, [ring.unit]), ring.unit, units_mask(ring))
+    return maximal is not None, maximal
+
+
+def _maximal_ideal(factor: Ideal, e: Element, units: np.ndarray) -> Ideal | None:
+    """The non-units of the factor eR when they form an ideal (eR is then
+    local), else None; ``units`` marks the units of R.
+
+    x in eR is a unit of eR iff x + (1 - e) is a unit of R, and the ideals
+    of R inside eR are exactly the ideals of eR.
+    """
+    ring = factor.ring
+    members = factor.members
+    nonunits = members[~units[ring.add_to_all((ring.unit - e).index, members)]]
     closure = ideal_generated(ring, [ring.element_at(int(i)) for i in nonunits])
-    if closure.size != len(nonunits):
-        return False, None
-    return True, closure
+    return closure if closure.size == len(nonunits) else None
 
 
 def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
-    """Split along primitive idempotents and re-verify the product isomorphism."""
+    """Split along primitive idempotents and re-verify the split on R."""
     _reject_zero(ring)
     prim = primitive_idempotents(ring)
-    factors = []
-    embeddings = []
-    one = ring.unit
-    for e in prim:
-        complement = ideal_generated(ring, [one - e])
-        factor, proj = make_quotient(ring, complement)
-        factors.append(factor)
-        embeddings.append(proj)
-    _verify_product_iso(ring, factors, embeddings)
-    total = 1
-    for f in factors:
-        total *= f.order
-    if total != ring.order:
+    total = ring.zero
+    for i, e in enumerate(prim):
+        total = total + e
+        if any(ring.mul(e, f) != ring.zero for f in prim[i + 1:]):
+            raise VerificationFailed("idempotents are not pairwise orthogonal")
+    if total != ring.unit:
+        raise VerificationFailed("idempotents do not sum to 1")
+    factors = [ideal_generated(ring, [e]) for e in prim]
+    if prod(f.size for f in factors) != ring.order:
         raise VerificationFailed("factor orders do not multiply to |R|")
-    maximals = []
-    for f in factors:
-        ok, maximal = is_local(f)
-        if not ok:
-            raise VerificationFailed("decomposition produced a non-local factor")
-        maximals.append(maximal)
+    units = units_mask(ring)
+    maximals = [_maximal_ideal(f, e, units) for f, e in zip(factors, prim)]
+    if any(m is None for m in maximals):
+        raise VerificationFailed("decomposition produced a non-local factor")
     return LocalDecomposition(
         ring=ring,
         idempotents=tuple(prim),
-        factors=tuple(factors),
-        embeddings=tuple(embeddings),
+        factor_ideals=tuple(factors),
         maximal_ideals=tuple(maximals),
     )
 
 
-def _verify_product_iso(ring: FiniteRing, factors, embeddings):
-    """Confirm x -> (pi_i(x)) is a ring isomorphism onto the rebuilt product.
-
-    The map is constructed as a RingHom (validating unit and basis
-    multiplicativity) and then checked to be a carrier bijection.
-    """
-    product, projections = make_product(factors, carrier_bound=ring.order)
-    combined = _combine_map(ring, factors, embeddings, product, projections)
-    basis_images = [
-        product.element_at(int(combined[int(ring._weights[i]) % ring.order]))
-        if ring.invariant_factors[i] > 1
-        else product.zero
-        for i in range(ring.k)
-    ]
-    hom = RingHom(ring, product, basis_images)
-    if not np.array_equal(hom.index_map(), combined):
-        raise VerificationFailed("combined map is not additive")
-    seen = np.zeros(product.order, dtype=bool)
-    seen[combined] = True
-    if not bool(np.all(seen)):
-        raise VerificationFailed("decomposition map is not onto the product")
-
-
-def _combine_map(ring, factors, embeddings, product, projections) -> np.ndarray:
-    """Carrier index map x -> product element with coordinates (pi_i(x))."""
-    maps = [emb.index_map() for emb in embeddings]
-    # For each product basis vector f_t, its factor components are known via
-    # the product's own projections; invert by matching component tuples.
-    strides = np.ones(len(factors), dtype=np.int64)
-    for i in range(1, len(factors)):
-        strides[i] = strides[i - 1] * factors[i - 1].order
-    comp_key = np.zeros(product.order, dtype=np.int64)
-    for proj, stride in zip(projections, strides):
-        comp_key += proj.index_map() * stride
-    lookup = np.empty(product.order, dtype=np.int64)
-    lookup[comp_key] = np.arange(product.order)
-    ring_key = np.zeros(ring.order, dtype=np.int64)
-    for m, stride in zip(maps, strides):
-        ring_key += m * stride
-    return lookup[ring_key]
-
-
 def classify(ring: FiniteRing) -> ClassificationVerdict:
-    """Decompose and test every local factor for linearly ordered ideals."""
+    """Decompose and test every local factor for linearly ordered ideals.
+
+    A finite local ring has linearly ordered ideals iff its maximal ideal
+    m is principal (Clark-Drake 1973; McDonald 1974, ch. XVII), which by
+    Nakayama's lemma holds iff |m|^2 <= |eR| * |m^2|.
+    """
     decomp = local_decomposition(ring)
     per_factor = []
     offending = None
-    for idx, factor in enumerate(decomp.factors):
-        chain = is_chain(factor)
+    for idx, (factor, maximal) in enumerate(zip(decomp.factor_ideals, decomp.maximal_ideals)):
+        chain = maximal.size ** 2 <= factor.size * ideal_product(maximal, maximal).size
         per_factor.append((idx, True, chain))
         if not chain and offending is None:
             offending = idx

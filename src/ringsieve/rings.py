@@ -124,12 +124,21 @@ class FiniteRing:
             sc[i, j] = np.array(vec, dtype=np.int64) % df
             sc[j, i] = sc[i, j]
         self._sc = sc
-        self.unit = Element(self, presentation.unit)
-        self.zero = Element(self, (0,) * self.k)
         self.is_zero = self.order == 1
         self._coords_cache: np.ndarray | None = None
-        self._ideal_cache = None  # (ideals, join table), filled lazily by ideals.all_ideals
+        self._ideal_cache = None  # (ideal lattices and masks, join table), by ideals.all_ideals
         self._principal_cache = None  # filled lazily by ideals.principal_lattices
+
+    # unit and zero are built on each use: an Element kept here would refer
+    # back to the ring, and a dropped ring would wait for the cycle collector
+
+    @property
+    def unit(self) -> Element:
+        return Element(self, self.presentation.unit)
+
+    @property
+    def zero(self) -> Element:
+        return Element(self, (0,) * self.k)
 
     # -- carrier bookkeeping ------------------------------------------------
 

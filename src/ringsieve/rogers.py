@@ -247,10 +247,12 @@ def _witness_from_verdict(verdict: ClassificationVerdict) -> Witness:
     decomp = verdict.decomposition
     ring = decomp.ring
     fidx = verdict.offending_factor
-    proj = decomp.embeddings[fidx]
-    local_witness = _local_witness(decomp.factors[fidx], decomp.maximal_ideals[fidx])
-    # preimages are I_j x (the other factors); e * section(s) lifts each shift
     e = decomp.idempotents[fidx]
+    factor, proj = make_quotient(ring, ideal_generated(ring, [ring.unit - e]))  # R/(1 - e)R = eR
+    # proj maps eR isomorphically onto the factor, so the maximal ideal onto its maximal ideal
+    images = [proj(ring.element(row)) for row in decomp.maximal_ideals[fidx].lattice]
+    local_witness = _local_witness(factor, ideal_generated(factor, images))
+    # preimages are I_j x (the other factors); e * section(s) lifts each shift
     shifts = tuple(ring.mul(e, proj.section(s)) for s in local_witness.shifts)
     witness = _pull_back(ring, proj, local_witness, shifts)
     report = rogers_check(ring, witness.ideals, shifts=witness.shifts)
@@ -352,8 +354,11 @@ def theorem2_verify(
             raise VerificationFailed("pattern criterion disagrees with evaluation")
         return False
 
-    for size in range(4, r_max + 1):
-        if not _verify_tuples_of_size(ring, ideals, size, tuple_cap):
+    # a tuple of ideals scans as the set of its maximal members does, and
+    # every such set of at most three ideals has passed the triple test
+    for chosen in _antichains(join, 4, r_max):
+        report = rogers_check(ring, tuple(ideals[i] for i in chosen), tuple_cap=tuple_cap)
+        if not report.satisfied:
             return False
     return True
 
@@ -402,28 +407,23 @@ def _first_failing_triple(join: np.ndarray, meet: np.ndarray) -> tuple[int, int,
     return None
 
 
-def _verify_tuples_of_size(ring, ideals, size, tuple_cap) -> bool:
-    """Honest scan over multisets of a fixed size (opt-in, small rings)."""
-    from itertools import combinations_with_replacement
+def _antichains(join: np.ndarray, smallest: int, largest: int):
+    """Sets of ``smallest`` to ``largest`` ideals none of which lies in
+    another, as increasing position tuples: by size, then in lexicographic
+    order, the order in which a walk over multisets of ideals first meets
+    them.  ``join[c, d] == d`` says that ideal c lies in ideal d.
+    """
+    below = join == np.arange(len(join))
+    apart = (~(below | below.T)).tolist()
 
-    for combo in combinations_with_replacement(range(len(ideals)), size):
-        chosen = [ideals[i] for i in combo]
-        # drop ideals contained in another pick: removing them changes
-        # neither the baseline nor the minimum
-        reduced = []
-        for ideal in chosen:
-            if any(other is not ideal and ideal <= other for other in chosen):
-                continue
-            if any(ideal.mask == r.mask for r in reduced):
-                continue
-            reduced.append(ideal)
-        if len(reduced) <= 2:
-            continue
-        if len(reduced) == 3:
-            if not triple_is_satisfied(*reduced):
-                return False
-            continue
-        report = rogers_check(ring, tuple(reduced), tuple_cap=tuple_cap)
-        if not report.satisfied:
-            return False
-    return True
+    def extend(chosen, candidates, size):
+        if len(chosen) == size:
+            yield chosen
+            return
+        for i, c in enumerate(candidates):
+            if len(chosen) + len(candidates) - i < size:
+                break
+            yield from extend(chosen + (c,), [d for d in candidates[i + 1:] if apart[c][d]], size)
+
+    for size in range(smallest, largest + 1):
+        yield from extend((), list(range(len(join))), size)

@@ -316,3 +316,18 @@ def primitive_idempotents_pairwise(ring, candidates=None) -> list[int]:
     idems = [x for x in pool if x != 0 and product_by_python_ints(ring, x, x) == x]
     return [e for e in idems
             if not any(f != e and product_by_python_ints(ring, e, f) == f for f in idems)]
+
+
+def antichains_met_by_multisets(member_sets, smallest, largest) -> list[tuple[int, ...]]:
+    """Sets of at least ``smallest`` ideals none of which lies in another, in
+    the order a walk over the multisets of ``smallest`` to ``largest`` ideals
+    first meets them as the multiset's maximal members; ``member_sets[a]``
+    is the set of members of ideal a."""
+    seen = {}
+    for size in range(smallest, largest + 1):
+        for combo in itertools.combinations_with_replacement(range(len(member_sets)), size):
+            top = tuple(sorted({a for a in combo
+                                if not any(member_sets[a] < member_sets[b] for b in combo)}))
+            if len(top) >= smallest:
+                seen.setdefault(top, None)
+    return list(seen)

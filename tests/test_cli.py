@@ -1,7 +1,9 @@
 """CLI dispatch, exit codes, output stability, and witness round trips."""
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,25 @@ def test_verify_theorem2_rmax_four():
     for ring, code, verdict in [("catalog:Zn:60", 0, "true"), ("catalog:F2xy", 2, "false")]:
         got = run_cli(["--format", "machine", "verify-theorem2", ring, "--rmax", "4"])
         assert got[:2] == (code, f"record=verdict satisfied_all_triples={verdict}\n")
+
+
+def test_verify_theorem2_rmax_fifteen():
+    # 7,726,160 multisets of 15 of Z/60's 12 ideals, one antichain of four
+    got = run_cli(["--format", "machine", "verify-theorem2", "catalog:Zn:60", "--rmax", "15"])
+    assert got == (0, "record=verdict satisfied_all_triples=true\n", "")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: case["argv"])
+def test_golden_output(case, tmp_path):
+    # byte for byte the output of the version that built every factor ring;
+    # FILE is Z/3 x F2[x,y]/(x,y)^2 x Z/4, whose middle factor is not a chain
+    path = tmp_path / "three.ring"
+    path.write_text(GOLDEN["ring_file"], encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in case["argv"].split()]
+    assert run_cli(argv) == (case["exit"], case["stdout"], "")
 
 
 def test_counterexample_prints_witness_and_exits_two():

@@ -8,7 +8,13 @@ from ringsieve.bitset import is_subset
 from ringsieve import localstruct
 from ringsieve.catalog import dual_numbers, finite_field, ring_c1, socle_plane_ring
 from ringsieve.errors import ZeroRingRejected
-from ringsieve.ideals import all_ideals, annihilator, ideal_product, minimal_ideals
+from ringsieve.ideals import (
+    all_ideals,
+    annihilator,
+    ideal_generated,
+    ideal_product,
+    minimal_ideals,
+)
 from ringsieve.localstruct import (
     classify,
     idempotents,
@@ -17,7 +23,13 @@ from ringsieve.localstruct import (
     primitive_idempotents,
     units_mask,
 )
-from ringsieve.rings import RingPresentation, make_cyclic, make_product, validate_ring
+from ringsieve.rings import (
+    RingPresentation,
+    make_cyclic,
+    make_product,
+    make_quotient,
+    validate_ring,
+)
 
 
 def test_idempotents_z12(z12):
@@ -40,20 +52,24 @@ def test_idempotents_of_f2_squared():
 def test_decomposition_z12(z12):
     decomp = local_decomposition(z12)
     by_idem = {
-        e.coords[0]: f.order for e, f in zip(decomp.idempotents, decomp.factors)
+        e.coords[0]: f.size for e, f in zip(decomp.idempotents, decomp.factor_ideals)
     }
     assert by_idem == {4: 3, 9: 4}
+    assert [sorted(map(int, f.members)) for f in decomp.factor_ideals] == [
+        [0, 4, 8], [0, 3, 6, 9]]
+    assert [sorted(map(int, m.members)) for m in decomp.maximal_ideals] == [[0], [0, 6]]
 
 
 def test_decomposition_of_local_ring_is_trivial(z8):
     decomp = local_decomposition(z8)
-    assert len(decomp.factors) == 1
+    assert len(decomp.factor_ideals) == 1
+    assert decomp.factor_ideals[0].size == 8
     assert decomp.idempotents == (z8.unit,)
 
 
 def test_decomposition_z30_crt():
     decomp = local_decomposition(make_cyclic(30))
-    assert sorted(f.order for f in decomp.factors) == [2, 3, 5]
+    assert sorted(f.size for f in decomp.factor_ideals) == [2, 3, 5]
 
 
 def test_is_local_examples(f2xy):
@@ -140,12 +156,18 @@ def test_primitive_idempotents_of_large_moduli(d):
 
 
 def test_factors_are_local_and_orders_multiply(small_rings):
+    # each factor eR is checked as the standalone ring R/(1 - e)R
     for ring in small_rings:
         decomp = local_decomposition(ring)
         total = 1
-        for factor in decomp.factors:
-            ok, _ = is_local(factor)
+        for e, ideal, maximal in zip(
+            decomp.idempotents, decomp.factor_ideals, decomp.maximal_ideals
+        ):
+            factor, _ = make_quotient(ring, ideal_generated(ring, [ring.unit - e]))
+            ok, factor_maximal = is_local(factor)
             assert ok
+            assert factor.order == ideal.size
+            assert factor_maximal.size == maximal.size
             total *= factor.order
         assert total == ring.order
 
@@ -181,6 +203,35 @@ def test_minimal_ideals_live_in_the_socle():
 
 
 def test_embeddings_preserve_structure(z12):
+    # the projection R -> R/(1 - e)R that counterexample builds for a factor
+    # is a ring map, and bijective on the factor eR
     decomp = local_decomposition(z12)
-    for proj in decomp.embeddings:
+    for e, ideal in zip(decomp.idempotents, decomp.factor_ideals):
+        factor, proj = make_quotient(z12, ideal_generated(z12, [z12.unit - e]))
         assert oracles.hom_preserves_operations(proj)
+        carrier_map = oracles.hom_carrier_map(proj)
+        assert sorted(carrier_map[int(x)] for x in ideal.members) == list(range(factor.order))
+
+
+def test_classify_builds_no_ring(monkeypatch):
+    # every factor is decided as an ideal of the ring itself
+    from ringsieve import rings
+
+    fresh = [
+        ring_c1(),
+        make_cyclic(60),
+        make_product([make_cyclic(3), socle_plane_ring(2), make_cyclic(4)])[0],
+        make_product([make_cyclic(2), make_cyclic(3), finite_field(4), dual_numbers(2)])[0],
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring was built")
+
+    for name in ("make_quotient", "make_product", "validate_ring"):
+        monkeypatch.setattr(rings, name, refuse)
+    assert [classify(ring).per_factor for ring in fresh] == [
+        ((0, True, False),),
+        ((0, True, True), (1, True, True), (2, True, True)),
+        ((0, True, True), (1, True, False), (2, True, True)),
+        ((0, True, True), (1, True, True), (2, True, True), (3, True, True)),
+    ]

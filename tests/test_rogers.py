@@ -305,6 +305,73 @@ def test_witness_builders_check_each_ring_local_once(monkeypatch):
     assert sorted((ring.order, n) for ring, n in visited.values()) == [(8, 1), (16, 1)]
 
 
+
+def test_counterexample_builds_one_factor_ring_per_level(monkeypatch):
+    # classify builds no ring; counterexample builds R/(1 - e)R for the
+    # offending factor only, plus a quotient by the socle when it recurses
+    built = []
+    original = rogers.make_quotient
+
+    def counted(ring, ideal):
+        built.append((ring.order, ideal.size))
+        return original(ring, ideal)
+
+    monkeypatch.setattr(rogers, "make_quotient", counted)
+    counterexample(ring_c1())
+    assert built == [(16, 1), (16, 2), (8, 1)]
+    built.clear()
+    counterexample(make_product([make_cyclic(3), socle_plane_ring(2), make_cyclic(4)])[0])
+    assert built == [(96, 12)]
+
+
+def _walk_rings():
+    return {
+        "Zn:60": make_cyclic(60),
+        "Z12": make_cyclic(12),
+        "F2xy": socle_plane_ring(2),
+        "F2^4": make_product([make_cyclic(2)] * 4)[0],
+    }
+
+
+@pytest.mark.parametrize("r_max", [4, 6])
+@pytest.mark.parametrize("name", ["Zn:60", "Z12", "F2xy", "F2^4"])
+def test_rmax_walk_scans_each_antichain_once(name, r_max, monkeypatch):
+    # every full scan of the walk is one antichain of >= 4 ideals, in the
+    # order the multiset walk first meets them; F2xy fails on a triple first
+    # and has no antichain of four ideals
+    ring = _walk_rings()[name]
+    scanned = []
+    original = rogers.rogers_check
+
+    def counted(ring, ideals, shifts=None, **kwargs):
+        if shifts is None:
+            scanned.append(tuple(ideal.mask for ideal in ideals))
+        return original(ring, ideals, shifts=shifts, **kwargs)
+
+    monkeypatch.setattr(rogers, "rogers_check", counted)
+    theorem2_verify(ring, r_max=r_max)
+    ideals = all_ideals(ring)
+    members = [frozenset(int(m) for m in ideal.members) for ideal in ideals]
+    expected = oracles.antichains_met_by_multisets(members, 4, r_max)
+    assert scanned == [tuple(ideals[i].mask for i in chosen) for chosen in expected]
+    if name == "Zn:60":
+        assert len(scanned) == 1  # the four ideals of index 4, 6, 10 and 15
+
+
+@pytest.mark.parametrize("r_max", [4, 6, 8])
+def test_rmax_verdicts(r_max):
+    # the verdicts of the walk over every multiset of up to r_max ideals
+    rings = _walk_rings()
+    rings["Z12xF2xy"] = make_product([make_cyclic(12), socle_plane_ring(2)])[0]
+    got = {}
+    for name, ring in rings.items():
+        try:
+            got[name] = theorem2_verify(ring, r_max=r_max)
+        except SearchSpaceTooLarge:
+            got[name] = "too large"
+    assert got == {"Zn:60": True, "Z12": True, "F2xy": False, "F2^4": True,
+                   "Z12xF2xy": "too large" if r_max == 8 else False}
+
 def test_theorem2_examples(z12, f2xy):
     assert theorem2_verify(z12) is True
     assert theorem2_verify(f2xy) is False

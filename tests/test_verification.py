@@ -24,11 +24,31 @@ import ringsieve.localstruct as localstruct
 from ringsieve.errors import VerificationFailed
 from ringsieve.rings import make_cyclic
 
-localstruct.is_local = lambda ring: (False, None)
+localstruct._maximal_ideal = lambda factor, e, units: None  # every factor reads as non-local
 try:
     localstruct.local_decomposition(make_cyclic(6))
 except VerificationFailed as exc:
     print(f"optimize={sys.flags.optimize} raised: {exc}")
+"""
+
+
+BROKEN_IDEMPOTENTS = """
+import sys
+import ringsieve.localstruct as localstruct
+from ringsieve.errors import VerificationFailed
+from ringsieve.rings import make_cyclic
+
+real = localstruct.primitive_idempotents  # 3 and 4 in Z/6
+for broken in (
+    lambda ring: real(ring)[1:],  # 4 alone does not sum to 1
+    lambda ring: real(ring) + real(ring)[:1],  # 3 * 3 != 0
+    lambda ring: [ring.unit],  # orthogonal and sums to 1, but Z/6 is not local
+):
+    localstruct.primitive_idempotents = broken
+    try:
+        localstruct.local_decomposition(make_cyclic(6))
+    except VerificationFailed as exc:
+        print(f"optimize={sys.flags.optimize} raised: {exc}")
 """
 
 
@@ -65,6 +85,13 @@ def _run_optimized(script: str) -> str:
 
 def test_broken_reverification_raises_under_optimize():
     assert _run_optimized(BROKEN_DECOMPOSITION) == (
+        "optimize=1 raised: decomposition produced a non-local factor\n")
+
+
+def test_broken_idempotents_raise_under_optimize():
+    assert _run_optimized(BROKEN_IDEMPOTENTS) == (
+        "optimize=1 raised: idempotents do not sum to 1\n"
+        "optimize=1 raised: idempotents are not pairwise orthogonal\n"
         "optimize=1 raised: decomposition produced a non-local factor\n")
 
 
