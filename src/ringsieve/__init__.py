@@ -36,7 +36,6 @@ from .ideals import (
     ideal_intersect,
     ideal_product,
     ideal_sum,
-    is_chain,
     lattice_op,
     minimal_ideals,
     zero_ideal,
@@ -82,7 +81,6 @@ from .rogers import (
     rogers_check,
     socle_witness,
     theorem2_verify,
-    triple_is_satisfied,
 )
 from .sieve import DensityReport, Progression, rogers_min_density, union_density
 

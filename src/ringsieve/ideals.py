@@ -290,15 +290,6 @@ def lattice_op(kind: str, ring: FiniteRing, i: Ideal, j: Ideal | None = None) ->
     raise ValueError(f"unknown lattice op {kind!r}")
 
 
-def is_chain(ring: FiniteRing) -> bool:
-    """True iff the ideals, sorted by cardinality, form a containment chain."""
-    ideals = all_ideals(ring)
-    for a, b in zip(ideals, ideals[1:]):
-        if not is_subset(a.mask, b.mask):
-            return False
-    return True
-
-
 def minimal_ideals(ring: FiniteRing) -> list[Ideal]:
     """Nonzero ideals with no nonzero ideal strictly below them."""
     ideals = [i for i in all_ideals(ring) if i.size > 1]

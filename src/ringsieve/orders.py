@@ -12,6 +12,7 @@ these matrices because SNF intermediates can exceed any fixed width.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import config, intmat
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .ideals import Ideal, ideal_from_members
+from .ideals import Ideal, ideal_generated
 from .localstruct import classify
 from .rings import Element, FiniteRing, canonical_quotient, project
 from .rogers import RogersReport, Witness, _witness_from_verdict, rogers_check
@@ -85,6 +86,8 @@ class Order:
         self.presentation = presentation
         self.rank = presentation.rank
         self._table = table_full  # [i][j] -> coordinate list of b_i * b_j
+        self.basis = tuple(tuple(int(l == t) for l in range(self.rank)) for t in range(self.rank))
+        self.one = self.basis[0]
 
     def basis_product(self, i: int, j: int) -> Vec:
         return tuple(self._table[i][j])
@@ -105,10 +108,6 @@ class Order:
                 for l in range(n):
                     out[l] += c * prod[l]
         return tuple(out)
-
-    @property
-    def one(self) -> Vec:
-        return tuple(1 if i == 0 else 0 for i in range(self.rank))
 
     def __repr__(self) -> str:
         return f"Order(rank={self.rank})"
@@ -143,7 +142,7 @@ def validate_order(
             if table[i][j] is None:
                 raise ValidationError(f"missing product b_{i+1}*b_{j+1}")
     order = Order(presentation, table)
-    basis = [tuple(1 if l == t else 0 for l in range(n)) for t in range(n)]
+    basis = order.basis
     for i in range(n):
         for j in range(n):
             for l in range(n):
@@ -156,6 +155,27 @@ def validate_order(
     return order
 
 
+def discriminant(order: Order) -> int:
+    """disc(O) = det(Tr(b_i b_j)), with Tr(b_k) the diagonal sum of the
+    multiplication by b_k.  The sign needs elimination over Q: a lattice,
+    and so the Gram matrix's HNF, fixes |det| but no orientation."""
+    n, table = order.rank, order._table
+    traces = [sum(table[k][i][i] for i in range(n)) for k in range(n)]
+    rows = [[Fraction(sum(c * t for c, t in zip(table[i][j], traces))) for j in range(n)]
+            for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        det *= rows[c][c] if pivot == c else -rows[c][c]
+        for r in range(c + 1, n):
+            q = rows[r][c] / rows[c][c]
+            rows[r] = [x - q * y for x, y in zip(rows[r], rows[c])]
+    return int(det)
+
+
 def order_ideal(order: Order, gens) -> IntegerLattice:
     """Lattice of the ideal generated by integer vectors (module closure).
 
@@ -165,11 +185,9 @@ def order_ideal(order: Order, gens) -> IntegerLattice:
     gens = [tuple(int(x) for x in g) for g in gens]
     if not gens:
         raise RankDeficient("need at least one generator")
-    n = order.rank
-    basis = [tuple(1 if l == t else 0 for l in range(n)) for t in range(n)]
-    rows = [list(order.mul(g, b)) for g in gens for b in basis]
+    rows = [list(order.mul(g, b)) for g in gens for b in order.basis]
     try:
-        return IntegerLattice.from_rows(rows, n)
+        return IntegerLattice.from_rows(rows, order.rank)
     except RankDeficient:
         raise RankDeficient("generators span a rank-deficient lattice (zero ideal)")
 
@@ -203,12 +221,13 @@ class OrderProjection:
         return self.lattice.reduce(vec)
 
     def push_lattice(self, sub: IntegerLattice) -> Ideal:
-        """Image of an ideal lattice containing the kernel lattice."""
-        members = [
-            i for i in range(self.ring.order)
-            if sub.contains(self.section(self.ring.element_at(i)))
-        ]
-        return ideal_from_members(self.ring, members)
+        """Image of an ideal lattice containing the kernel lattice: the ideal
+        its projected basis generates.  That ideal has [sub : kernel] elements
+        exactly when ``sub`` is an ideal containing the kernel."""
+        image = ideal_generated(self.ring, [self(row) for row in sub.basis])
+        if image.size * sub.index != self.lattice.index:
+            raise VerificationFailed(f"{sub} is not an ideal lattice over the kernel")
+        return image
 
 
 def order_quotient(
@@ -223,10 +242,8 @@ def order_quotient(
     the Smith normal form; multiplication is transported through the
     unimodular change of basis, and the result passes full ring validation.
     """
-    n = order.rank
-    basis = [tuple(1 if l == t else 0 for l in range(n)) for t in range(n)]
     for row in lattice.basis:
-        for b in basis[1:]:
+        for b in order.basis[1:]:
             if not lattice.contains(order.mul(row, b)):
                 raise NotAnIdeal(f"lattice row {row} times basis {b} escapes the lattice")
     ring, proj_cols, section_rows = canonical_quotient(
@@ -283,7 +300,16 @@ class ProbeWitness:
 def nonmaximality_probe(
     order: Order, bound: int, tuple_cap: int = config.TUPLE_CAP
 ) -> ProbeWitness | None:
-    """Scan quotients O/(n) for n <= bound for a non-chain local factor.
+    """Scan quotients O/(n), 2 <= n <= bound, for a non-chain local factor.
+
+    O/nO is the product of the O/p^e O over the prime powers p^e exactly
+    dividing n (Chinese remainder theorem), so the first failing n is a
+    prime power.  When p does not divide disc(O), O (x) Z_p is etale and
+    every O/p^e O is a product of Galois rings, which are chain rings.  So
+    only powers of primes dividing disc(O) (of every prime when disc(O) =
+    0) are classified, and the scan stops at the same conductor as a scan
+    over every n.  An n whose quotient exceeds the carrier bound is still
+    built, so the scan ends in the same error there.
 
     On the first hit, builds the violating triple in the quotient, lifts
     the ideals back to the order (witness generators' lifts plus n times
@@ -293,8 +319,12 @@ def nonmaximality_probe(
     if bound < 2:
         raise ValueError("probe bound must be at least 2")
     n = order.rank
-    basis = [tuple(1 if l == t else 0 for l in range(n)) for t in range(n)]
+    disc = discriminant(order)
     for conductor in range(2, bound + 1):
+        p = next(q for q in range(2, conductor + 1) if conductor % q == 0)
+        # conductor | p^conductor iff the conductor is a power of p
+        if conductor ** n <= config.CARRIER_BOUND and (pow(p, conductor, conductor) or disc % p):
+            continue
         principal = order_ideal(order, [tuple(conductor if l == 0 else 0 for l in range(n))])
         ring, proj = order_quotient(order, principal)
         verdict = classify(ring)
@@ -304,7 +334,7 @@ def nonmaximality_probe(
         lifted_gens = []
         for ideal in witness.ideals:
             gens = [proj.section(g) for g in ideal.generators]
-            gens += [tuple(conductor * x for x in b) for b in basis]
+            gens += [tuple(conductor * x for x in b) for b in order.basis]
             lifted_gens.append(tuple(gens))
         lifted_shifts = tuple(proj.section(s) for s in witness.shifts)
         report = rogers_check_order(

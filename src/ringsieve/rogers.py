@@ -35,8 +35,6 @@ from .ideals import (
     all_ideals,
     annihilator,
     ideal_generated,
-    ideal_intersect,
-    ideal_sum,
     ideal_from_members,
     join_table,
 )
@@ -291,26 +289,6 @@ def _pull_back(ring: FiniteRing, proj, witness: Witness, shifts) -> Witness:
 
 
 # -- whole-ring verification --------------------------------------------------
-
-
-def triple_is_satisfied(i1: Ideal, i2: Ideal, i3: Ideal) -> bool:
-    """Decide one triple exactly via the coset intersection pattern.
-
-    Writing the shifted union size by inclusion-exclusion over the three
-    cosets, the only pattern that can beat the unshifted configuration is
-    "pairwise intersecting, triple intersection empty", and chasing the
-    existence of such shifts reduces to one subgroup comparison:
-
-        (I_1 + I_3) & (I_2 + I_3)  inside  (I_1 & I_2) + I_3 ?
-
-    Containment holds iff no shrinking shifts exist.  The test suite
-    cross-checks this criterion against full scans and checks that it does
-    not depend on the role assignment.
-    """
-    s13 = ideal_sum(i1, i3)
-    s23 = ideal_sum(i2, i3)
-    forbidden = ideal_sum(ideal_intersect(i1, i2), i3)
-    return (s13.mask & s23.mask) & ~forbidden.mask == 0
 
 
 def theorem2_verify(

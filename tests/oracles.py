@@ -240,6 +240,24 @@ def det_bareiss(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def in_lattice(basis, vec) -> bool:
+    """Membership of ``vec`` in the row span of an upper-triangular basis
+    with nonzero diagonal, by back-substitution in plain integers."""
+    rest = list(vec)
+    for i, row in enumerate(basis):
+        q, r = divmod(rest[i], row[i])
+        if r:
+            return False
+        rest = [x - q * y for x, y in zip(rest, row)]
+    return not any(rest)
+
+
+def image_by_lifts(ring, lift, basis) -> int:
+    """Mask of {x : lift(x) in L}, L the row span of ``basis``; ``lift``
+    maps a carrier index to an integer vector."""
+    return sum(1 << x for x in range(ring.order) if in_lattice(basis, lift(x)))
+
+
 def hom_carrier_map(hom) -> list[int]:
     """Target index of hom(x) for every source carrier index x."""
     return [hom(x).index for x in hom.source.elements()]
@@ -263,6 +281,30 @@ def hom_preserves_operations(hom) -> bool:
     return hom(s.unit) == t.unit
 
 
+def is_chain(member_sets) -> bool:
+    """True iff the sets, sorted by size, form a containment chain."""
+    ordered = sorted(map(set, member_sets), key=len)
+    return all(a <= b for a, b in zip(ordered, ordered[1:]))
+
+
+def subgroup_sum(ring, x, y) -> frozenset:
+    """x + y for additive subgroups given as sets of carrier indices."""
+    # x is a subgroup, so x + y is the union of the cosets x + b, b in y
+    out = set(x)
+    for b in y:
+        if b not in out:
+            out |= {ring.add_idx(a, b) for a in x}
+    return frozenset(out)
+
+
+def triple_is_satisfied(ring, s1, s2, s3) -> bool:
+    """No shifts shrink the union of three ideals, given as member sets, iff
+    (I_1 + I_3) & (I_2 + I_3) lies inside (I_1 & I_2) + I_3."""
+    s1, s2, s3 = map(frozenset, (s1, s2, s3))
+    both = subgroup_sum(ring, s1, s3) & subgroup_sum(ring, s2, s3)
+    return both <= subgroup_sum(ring, s1 & s2, s3)
+
+
 def first_failing_triple(ring, ideals) -> tuple[int, int, int] | None:
     """First (a, b, c) with a <= b <= c, in lexicographic order, whose ideals
     break (I_a + I_c) & (I_b + I_c) <= (I_a & I_b) + I_c, or None.
@@ -274,12 +316,7 @@ def first_failing_triple(ring, ideals) -> tuple[int, int, int] | None:
 
     def plus(x, y):
         if (x, y) not in sums:
-            # x is a subgroup, so x + y is the union of the cosets x + b, b in y
-            out = set(x)
-            for b in y:
-                if b not in out:
-                    out |= {ring.add_idx(a, b) for a in x}
-            sums[x, y] = frozenset(out)
+            sums[x, y] = subgroup_sum(ring, x, y)
         return sums[x, y]
 
     n = len(sets)

@@ -43,11 +43,14 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encodi
 
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: case["argv"])
 def test_golden_output(case, tmp_path):
-    # byte for byte the output of the version that built every factor ring;
-    # FILE is Z/3 x F2[x,y]/(x,y)^2 x Z/4, whose middle factor is not a chain
-    path = tmp_path / "three.ring"
-    path.write_text(GOLDEN["ring_file"], encoding="utf-8")
-    argv = [str(path) if arg == "FILE" else arg for arg in case["argv"].split()]
+    # byte for byte the output of the version that built every factor ring
+    # (probe: that classified O/nO for every n); FILE is
+    # Z/3 x F2[x,y]/(x,y)^2 x Z/4, whose middle factor is not a chain, and
+    # ORDER is Z[t]/(t^2), whose discriminant is 0
+    files = {"FILE": tmp_path / "three.ring", "ORDER": tmp_path / "dual.order"}
+    files["FILE"].write_text(GOLDEN["ring_file"], encoding="utf-8")
+    files["ORDER"].write_text(GOLDEN["order_file"], encoding="utf-8")
+    argv = [str(files.get(arg, arg)) for arg in case["argv"].split()]
     assert run_cli(argv) == (case["exit"], case["stdout"], "")
 
 
@@ -132,6 +135,16 @@ def test_probe_clean_order_exits_zero():
     code, out, _ = run_cli(["probe", "catalog:Zi", "--bound", "6"])
     assert code == 0
     assert "witness=none" in out
+
+
+def test_probe_past_the_carrier_bound_ends_in_the_same_error(tmp_path):
+    # the scan skips n that cannot fail, but still stops at the first n
+    # whose quotient O/nO has more than 4096 elements
+    path = tmp_path / "z.order"
+    path.write_text("order 1\n", encoding="utf-8")
+    for argv, size in [(["probe", "catalog:Zi", "--bound", "100"], 4225),
+                       (["probe", str(path), "--bound", str(10 ** 12)], 4097)]:
+        assert run_cli(argv) == (1, "", f"error: carrier size {size} exceeds bound 4096\n")
 
 
 def test_order_check_key_example_machine_format():

@@ -1,8 +1,11 @@
 """Orders, HNF/SNF plumbing at the order level, quotients, and the probe."""
 
+import random
+
 import pytest
 
 import oracles
+import ringsieve.orders as orders
 from ringsieve.catalog import dual_numbers, order_z2i, order_zi
 from ringsieve.errors import (
     NotAnIdeal,
@@ -15,6 +18,7 @@ from ringsieve.localstruct import classify
 from ringsieve.orders import (
     IntegerLattice,
     OrderPresentation,
+    discriminant,
     format_order_text,
     lattice_intersect,
     nonmaximality_probe,
@@ -255,3 +259,125 @@ def test_order_file_round_trip(z2i):
     assert back.rank == 2 and back.basis_product(1, 1) == (-4, 0)
     parsed = parse_order_text("# gaussian\norder 2\nmul 2 2 -1 0\n")
     assert parsed.mul((0, 1), (0, 1)) == (-1, 0)
+
+
+def _quadratic(a, b):
+    """Z[t]/(t^2 - b t - a), basis (1, t)."""
+    return validate_order(OrderPresentation(rank=2, table={(1, 1): (a, b)}))
+
+
+def _cubic(c0, c1, c2, k=1):
+    """The order with basis (1, k t, k t^2) in Z[t]/(t^3 + c2 t^2 + c1 t + c0)."""
+    t3 = (-c0, -c1, -c2)  # t^3 in the basis (1, t, t^2)
+    t4 = (-c2 * t3[0], -c0 - c2 * t3[1], -c1 - c2 * t3[2])  # t * t^3
+    return validate_order(OrderPresentation(rank=3, table={
+        (1, 1): (0, 0, k),
+        (1, 2): (k * k * t3[0], k * t3[1], k * t3[2]),
+        (2, 2): (k * k * t4[0], k * t4[1], k * t4[2]),
+    }))
+
+
+def _families():
+    """(name, order, closed-form discriminant or None)."""
+    out = [(f"Z[sqrt {d}]", _quadratic(d, 0), 4 * d) for d in (-7, -5, -3, -1, 2, 3, 5, 12)]
+    out += [(f"Z[(1+sqrt {d})/2]", _quadratic((d - 1) // 4, 1), d) for d in (-15, -7, -3, 5, 13)]
+    out += [(f"Z[{f}i]", _quadratic(-f * f, 0), -4 * f * f) for f in (2, 3, 6)]
+    out += [(f"Z[cbrt {m}]", _cubic(-m, 0, 0), -27 * m * m) for m in (2, 3, 4, 10)]
+    out += [
+        ("Z[t]/(t^2)", _quadratic(0, 0), 0),
+        ("Z[t]/(t^2 - 1)", _quadratic(1, 0), 4),
+        ("Z[t]/(t^3)", _cubic(0, 0, 0), 0),
+        ("Z", validate_order(OrderPresentation(rank=1)), 1),
+    ]
+    return out
+
+
+def _trace_form(order):
+    """Tr(b_i b_j) from order.mul, the trace read as the diagonal sum of
+    the multiplication matrix."""
+    n = order.rank
+    basis = [tuple(int(l == t) for l in range(n)) for t in range(n)]
+
+    def trace(x):
+        return sum(order.mul(x, b)[i] for i, b in enumerate(basis))
+
+    return [[trace(order.mul(a, b)) for b in basis] for a in basis]
+
+
+def test_discriminant_closed_forms():
+    for name, order, disc in _families():
+        assert discriminant(order) == disc, name
+
+
+def _random_orders(seed, count):
+    rng = random.Random(seed)
+    out = [_quadratic(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(count)]
+    out += [_cubic(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 3))
+            for _ in range(count)]
+    return out
+
+
+def test_discriminant_matches_bareiss_on_random_tables():
+    for order in _random_orders(7, 40):
+        assert discriminant(order) == oracles.det_bareiss(_trace_form(order))
+
+
+def _first_failing_conductor(order, bound):
+    """The first n in 2..bound with O/nO not a chain-local product."""
+    for n in range(2, bound + 1):
+        lattice = order_ideal(order, [tuple(n * int(l == 0) for l in range(order.rank))])
+        if not classify(order_quotient(order, lattice)[0]).is_chain_local_product:
+            return n
+    return None
+
+
+def _is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def test_probe_classifies_only_conductors_that_can_fail_first(monkeypatch):
+    seen = []
+
+    def recording(ring):
+        seen.append(ring.order)
+        return classify(ring)
+
+    monkeypatch.setattr(orders, "classify", recording)
+    randoms = [(f"random {i}", order, oracles.det_bareiss(_trace_form(order)))
+               for i, order in enumerate(_random_orders(11, 6))]
+    for name, order, disc in _families() + randoms:
+        bound = 12 if order.rank <= 2 else 6
+        seen.clear()
+        found = nonmaximality_probe(order, bound)
+        expected = _first_failing_conductor(order, bound)
+        assert (found and found.conductor) == expected, name
+        last = bound if expected is None else expected
+        primes = [p for p in range(2, last + 1)
+                  if all(p % q for q in range(2, p)) and (disc == 0 or disc % p == 0)]
+        kept = [n for n in range(2, last + 1) if any(_is_power_of(n, p) for p in primes)]
+        assert seen == [n ** order.rank for n in kept], name
+
+
+def test_push_lattice_matches_lift_membership():
+    rng = random.Random(3)
+    checked = 0
+    for name, order, _ in _families():
+        for _ in range(3):
+            try:
+                lattices = [order_ideal(order, [tuple(rng.randint(-6, 6) for _ in range(order.rank))
+                                                for _ in range(rng.randint(1, 2))])
+                            for _ in range(2)]
+            except RankDeficient:  # a zero divisor of Z[t]/(t^2) spans no full-rank ideal
+                continue
+            common = lattice_intersect(*lattices)
+            if not 1 < common.index <= 2048:
+                continue
+            checked += 1
+            ring, proj = order_quotient(order, common)
+            for lattice in lattices:
+                expected = oracles.image_by_lifts(
+                    ring, lambda x: proj.section(ring.element_at(x)), lattice.basis)
+                assert proj.push_lattice(lattice).mask == expected, name
+    assert checked >= 40

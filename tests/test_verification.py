@@ -74,6 +74,23 @@ except VerificationFailed as exc:
 """
 
 
+PUSH_OFF_THE_KERNEL = """
+import sys
+from ringsieve.catalog import order_z2i
+from ringsieve.errors import VerificationFailed
+from ringsieve.orders import IntegerLattice, order_ideal, order_quotient
+
+z2i = order_z2i()
+_, proj = order_quotient(z2i, order_ideal(z2i, [(2, 0)]))
+for sub in (order_ideal(z2i, [(3, 0)]),  # an ideal, but 2 is not in it
+            IntegerLattice(((1, 0), (0, 2)))):  # holds 2, but t * 1 escapes it
+    try:
+        proj.push_lattice(sub)
+    except VerificationFailed as exc:
+        print(f"optimize={sys.flags.optimize} raised: {exc}")
+"""
+
+
 def _run_optimized(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -99,3 +116,9 @@ def test_unconfirmed_triple_raises_under_optimize():
     assert _run_optimized(UNCONFIRMED_TRIPLE) == (
         "optimize=1 raised: pattern criterion disagrees with evaluation\n"
         "optimize=1 raised: triple tables disagree with the ideal masks\n")
+
+
+def test_push_off_the_kernel_raises_under_optimize():
+    assert _run_optimized(PUSH_OFF_THE_KERNEL) == (
+        "optimize=1 raised: IntegerLattice(((3, 0), (0, 3))) is not an ideal lattice over the kernel\n"
+        "optimize=1 raised: IntegerLattice(((1, 0), (0, 2))) is not an ideal lattice over the kernel\n")
