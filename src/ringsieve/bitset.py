@@ -19,18 +19,6 @@ def flags_from_mask(n: int, mask: int) -> np.ndarray:
     return np.unpackbits(buf, count=n, bitorder="little").view(bool)
 
 
-def indices_from_mask(mask: int) -> list[int]:
-    out = []
-    idx = 0
-    while mask:
-        tz = (mask & -mask).bit_length() - 1
-        idx += tz
-        out.append(idx)
-        mask >>= tz + 1
-        idx += 1
-    return out
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

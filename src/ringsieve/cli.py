@@ -206,7 +206,8 @@ def _cmd_order_check(args, cfg):
     if not gen_lists:
         raise RingSieveError("need at least one --ideal")
     shifts = _parse_vectors(args.shifts) if args.shifts else None
-    report = rogers_check_order(order, gen_lists, shifts=shifts, tuple_cap=cfg.tuple_cap)
+    report = rogers_check_order(order, gen_lists, shifts=shifts, tuple_cap=cfg.tuple_cap,
+                                carrier_bound=cfg.carrier_bound)
     ring = report.ideals[0].ring
     extra = [
         ("quotient_order", ring.order),
@@ -218,7 +219,8 @@ def _cmd_order_check(args, cfg):
 
 def _cmd_probe(args, cfg):
     order = _load_source(args.order, "order", cfg)
-    found = nonmaximality_probe(order, args.bound, tuple_cap=cfg.tuple_cap)
+    found = nonmaximality_probe(order, args.bound, tuple_cap=cfg.tuple_cap,
+                                carrier_bound=cfg.carrier_bound)
     if found is None:
         _emit([("probe", [("bound", args.bound), ("witness", "none")])], cfg.output_format)
         return 0

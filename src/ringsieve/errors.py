@@ -45,8 +45,9 @@ class ZeroRingRejected(ValidationError):
 class SearchSpaceTooLarge(RingSieveError):
     """An exhaustive scan would exceed the tuple cap."""
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"search space of {required} tuples exceeds cap {cap}")
+    def __init__(self, required: int, cap: int, at_least: bool = False):
+        bound = "at least " if at_least else ""
+        super().__init__(f"search space of {bound}{required} tuples exceeds cap {cap}")
         self.required = required
         self.cap = cap
 

@@ -9,12 +9,14 @@ mask view makes equality, intersection and containment single big-int ops.
 
 import itertools
 from array import array
+from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from . import intmat
-from .bitset import indices_from_mask, is_subset, mask_from_indices
-from .errors import ValidationError
+from .bitset import flags_from_mask, is_subset, mask_from_indices
+from .errors import ValidationError, VerificationFailed
 from .rings import Element, FiniteRing
 
 Lattice = tuple[tuple[int, ...], ...]
@@ -46,21 +48,12 @@ class Ideal:
         """Greedy canonical generators: repeatedly adjoin the smallest
         carrier element not yet generated."""
         if self._generators is None:
-            ring = self.ring
-            gens: list[int] = []
-            rows = ring.diag_rows()
-            span_mask = mask_from_indices(ring.order, [0])
-            members = self.members
-            while True:
-                missing = [int(i) for i in members if not (span_mask >> int(i)) & 1]
-                if not missing:
-                    break
-                g = missing[0]
-                gens.append(g)
-                rows = rows + ring.basis_product_rows(g)
-                lat = intmat.hnf_full_rank(rows, ring.k)
-                span_mask = mask_from_indices(ring.order, _lattice_members(ring, lat))
-            self._generators = tuple(ring.element_at(g) for g in gens)
+            gens, inside = [], np.zeros(self.ring.order, dtype=bool)
+            for g in self.members[1:].tolist():  # 0 comes first
+                if not inside[g]:
+                    gens.append(self.ring.element_at(g))
+                    inside[ideal_generated(self.ring, gens).members] = True
+            self._generators = tuple(gens)
         return self._generators
 
     def contains(self, x: Element) -> bool:
@@ -116,13 +109,19 @@ def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     computes; the fixpoint property is asserted by the test suite against
     a naive closure oracle.
     """
-    rows: list[list[int]] = []
+    indices = []
     for g in gens:
         el = g if isinstance(g, Element) else ring.element(g)
         if el.ring is not ring:
             raise ValidationError("generator belongs to a different ring")
-        rows.extend(ring.basis_product_rows(el.index))
-    return _from_lattice(ring, rows)
+        indices.append(el.index)
+    return _from_lattice(ring, _basis_products(ring, indices).reshape(-1, ring.k).tolist())
+
+
+def _basis_products(ring: FiniteRing, indices) -> np.ndarray:
+    """(len(indices), k, k): row i of block t holds b_i * x for the carrier
+    element x = indices[t]; the rows of a block span the principal ideal (x)."""
+    return np.einsum("nj,ijl->nil", ring._coords[indices], ring._sc) % ring._df
 
 
 def ideal_from_members(ring: FiniteRing, member_indices) -> Ideal:
@@ -138,28 +137,74 @@ def ideal_from_members(ring: FiniteRing, member_indices) -> Ideal:
     return ideal
 
 
-def principal_lattices(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """(lattices, units) for the principal ideals (x) of the ring.
+@dataclass(slots=True)
+class RingStructure:
+    """R's derived structure, read off its local factors eR.  No Element or Ideal
+    here would refer back to the ring, so a dropped ring is freed at once."""
 
-    ``lattices`` (p x k x k) are their distinct HNF bases; ``units[x]``
-    says that (x) is the whole ring, i.e. that its HNF is the identity.
-    One ``intmat.hnf_mod`` batch per chunk of the carrier inserts the
-    basis multiples b_i * x into diag(d).  The result is kept on the ring,
-    because all_ideals and localstruct.units_mask both read it.
+    idempotents: tuple[int, ...]  # carrier indices of the e
+    lattices: tuple[np.ndarray, ...]  # per eR: eR, then its proper nonzero principal ideals
+    units: np.ndarray  # carrier flags
+    ideals: tuple | None = None  # (sorted (lattice, mask) pairs, join table), by all_ideals
+
+
+def ring_structure(ring: FiniteRing) -> RingStructure:
+    """The ring's :class:`RingStructure`, built on first use.
+
+    R is the product of the eR, e a primitive idempotent (McDonald, *Finite
+    Rings with Identity*, 1974); eR holds the x with e * x = x.  The split
+    raises ``VerificationFailed`` unless the e are pairwise orthogonal and
+    sum to 1 and the |eR| multiply to |R|.  (y) is the same ideal in R and
+    in eR, so one ``hnf_mod`` batch per ``HNF_CHUNK`` members of all eR
+    gives the principal lattices; y is a unit of eR iff (y) has |eR|
+    elements, and x one of R iff every e * x is one of eR.
     """
-    if ring._principal_cache is None:
-        d = ring._df
-        chunk = intmat.HNF_CHUNK
-        units = np.empty(ring.order, dtype=bool)
-        found: dict[bytes, None] = {}
-        for lo in range(0, ring.order, chunk):
-            # row block x holds b_1 * x, ..., b_k * x
-            rows = np.einsum("nj,ijl->nil", ring._coords[lo:lo + chunk], ring._sc) % d
+    if ring._structure is None:
+        from . import localstruct  # which imports this module
+
+        prim = [] if ring.is_zero else [e.index for e in localstruct.primitive_idempotents(ring)]
+        d, coords, order = ring._df, ring._coords, ring.order
+        images, members = [], []
+        for i, mat in enumerate(_basis_products(ring, prim)):
+            image = (coords @ mat) % d @ ring._weights  # image[x] is e * x
+            if image[prim[i + 1:]].any():
+                raise VerificationFailed("idempotents are not pairwise orthogonal")
+            images.append(image)
+            members.append(np.flatnonzero(image == np.arange(order)))
+        if np.any((coords[prim].sum(axis=0) - ring.presentation.unit) % d):
+            raise VerificationFailed("idempotents do not sum to 1")
+        sizes = [len(m) for m in members]
+        if prod(sizes) != order:
+            raise VerificationFailed("factor orders do not multiply to |R|")
+        flat = np.concatenate([np.zeros(0, dtype=np.int64)] + members)
+        owner = np.repeat(np.arange(len(prim)), sizes)
+        is_unit = np.empty(len(flat), dtype=bool)
+        found = [{} for _ in prim]  # per factor, lattice key -> None
+        for lo in range(0, len(flat), intmat.HNF_CHUNK):
+            rows = _basis_products(ring, flat[lo:lo + intmat.HNF_CHUNK])
             lats = intmat.hnf_mod(np.broadcast_to(np.diag(d), rows.shape), rows, d)
-            units[lo:lo + len(lats)] = np.all(np.diagonal(lats, axis1=1, axis2=2) == 1, axis=1)
-            found.update(dict.fromkeys(intmat.lattice_keys(lats)))
-        ring._principal_cache = (_from_keys(found, ring.k), units)
-    return ring._principal_cache
+            part = owner[lo:lo + len(lats)]
+            is_unit[lo:lo + len(lats)] = _lattice_index(lats) == order // np.take(sizes, part)
+            for f, key in zip(part.tolist(), intmat.lattice_keys(lats)):
+                found[f][key] = None
+        units = np.ones(order, dtype=bool)
+        per_factor = []
+        for image, member, flags, keys, size in zip(
+                images, members, np.split(is_unit, np.cumsum(sizes)[:-1]), found, sizes):
+            factor_units = np.zeros(order, dtype=bool)
+            factor_units[member] = flags
+            units &= factor_units[image]
+            lattices = _from_keys(keys, ring.k)
+            index = _lattice_index(lattices)
+            whole, zero = index == order // size, index == order  # eR, and 0
+            per_factor.append(np.concatenate([lattices[whole], lattices[~whole & ~zero]]))
+        ring._structure = RingStructure(tuple(prim), tuple(per_factor), units)
+    return ring._structure
+
+
+def _lattice_index(lattices: np.ndarray) -> np.ndarray:
+    """[Z^k : L] = |R| / |I| for each HNF basis L of an ideal I in the batch."""
+    return np.prod(np.diagonal(lattices, axis1=1, axis2=2), axis=1)
 
 
 def _from_keys(keys, k: int) -> np.ndarray:
@@ -180,49 +225,70 @@ def join_table(ring: FiniteRing) -> np.ndarray:
 
 def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[tuple[Lattice, int], ...], np.ndarray]:
     """The sorted ideals, as (lattice, mask) pairs, and their join table,
-    built once per ring.
+    built once per ring from the factors' ideals.
 
-    Starts from the principal ideals, the zero ideal among them, and
-    closes under pairwise sum, pairing each round's new lattices with all
-    earlier ones: every ideal is a finite sum of principal ideals, so the
-    fixpoint is complete, and every pair of ideals is summed exactly once.
-    Each sum's lattice key is looked up (or entered) with a fresh id, so
-    the sums, read in the order ``lattice_pair_sums`` yields them, fill
-    the lower triangle of the join table.  The ring keeps no Ideal, which
-    would refer back to it: a dropped ring is freed at once, not by the
-    cycle collector.
+    The ideals of R are the sums of one ideal of each factor, summed one
+    factor at a time: (a_1, ..., a_m) sits at mixed-radix position
+    a_1 n_2 ... n_m + ... + a_m, as does the join of two, factor by factor.
     """
-    if ring._ideal_cache is None:
-        ids = itertools.count()
-        seen = dict(zip(intmat.lattice_keys(principal_lattices(ring)[0]), ids))  # key -> id
-        sum_ids = array("q")  # id of each pair sum b < a, in lattice_pair_sums order
-        paired = 0  # the first ``paired`` lattices have been summed with each other
-        while paired < len(seen):
-            lattices = _from_keys(seen, ring.k)
-            for _, _, sums in intmat.lattice_pair_sums(lattices, ring._df, paired):
-                sum_ids.extend(map(seen.setdefault, intmat.lattice_keys(sums), ids))
-            paired = len(lattices)
+    structure = ring_structure(ring)
+    if structure.ideals is None:
+        d = ring._df
+        factors = [_factor_ideals(lattices, d) for lattices in structure.lattices]
+        n = prod(len(lattices) for lattices, _ in factors)
+        dtype = np.min_scalar_type(n - 1)
+        sums, joins = np.diag(d)[None], np.zeros((1, 1), dtype=dtype)  # the zero ring's one ideal
+        for lattices, join in factors:
+            f = len(lattices)
+            if len(sums) > 1:  # else the sums are diag(d) + I = I
+                t = np.arange(len(sums) * f)  # sums[a] + lattices[b] goes to a * f + b
+                chunks = np.split(t, t[intmat.HNF_CHUNK::intmat.HNF_CHUNK])
+                lattices = np.concatenate(
+                    [intmat.hnf_mod(sums[c // f], lattices[c % f], d) for c in chunks])
+            sums = lattices
+            joins = (joins[:, None, :, None] * f + join.astype(dtype)[None, :, None, :]).reshape(
+                len(sums), len(sums))
         ideals, order_keys = [], []
-        for rows in lattices.tolist():
+        for rows in sums.tolist():
             lattice = tuple(map(tuple, rows))
             members = _lattice_members(ring, lattice)
             # big-endian bytes compare as the sorted member lists do
             order_keys.append((len(members), members.astype(">u8").tobytes()))
             ideals.append((lattice, mask_from_indices(ring.order, members)))
-        order = np.array(sorted(range(len(ideals)), key=order_keys.__getitem__))
-        n = len(order)
-        dtype = np.min_scalar_type(n - 1)
-        ids_by_lattice = np.fromiter(seen.values(), np.int64, n)
-        position = np.zeros(next(ids), dtype=dtype)  # id -> sorted position
-        position[ids_by_lattice[order]] = np.arange(n)
-        joins = np.empty((n, n), dtype=dtype)  # by lattice number
-        lower = np.tri(n, k=-1, dtype=bool)  # row-major, its cells are the pairs b < a in order
-        joins[lower] = joins.T[lower] = position[np.frombuffer(sum_ids, dtype=np.int64)]
-        joins.flat[::n + 1] = position[ids_by_lattice]
-        join = joins[order][:, order]
+        order = np.array(sorted(range(n), key=order_keys.__getitem__))
+        position = np.empty(n, dtype=dtype)  # mixed-radix position -> sorted position
+        position[order] = np.arange(n)
+        join = position[joins[np.ix_(order, order)]]
         join.flags.writeable = False
-        ring._ideal_cache = (tuple(ideals[p] for p in order.tolist()), join)
-    return ring._ideal_cache
+        structure.ideals = (tuple(ideals[p] for p in order.tolist()), join)
+    return structure.ideals
+
+
+def _factor_ideals(principal: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ideals of a factor eR (0, eR, then the rest) and their join
+    table, from ``principal``: eR, then its proper nonzero principal
+    lattices.  The rest close under pairwise sum in rounds, each new
+    lattice paired with all earlier ones; each sum's key is looked up (or
+    entered) with a fresh id, and the sums, in ``lattice_pair_sums`` order,
+    fill the lower triangle.
+    """
+    ids = itertools.count()
+    seen = dict(zip(intmat.lattice_keys(np.concatenate([np.diag(d)[None], principal])), ids))
+    sum_ids = array("q")  # id of each pair sum b < a past 0 and eR, in lattice_pair_sums order
+    lattices, paired = _from_keys(seen, len(d)), 2  # the first ``paired`` have been summed
+    while paired < len(lattices):
+        for _, _, sums in intmat.lattice_pair_sums(lattices[2:], d, paired - 2):
+            sum_ids.extend(map(seen.setdefault, intmat.lattice_keys(sums), ids))
+        lattices, paired = _from_keys(seen, len(d)), len(lattices)
+    n = len(lattices)
+    number = np.empty(next(ids), dtype=np.int64)  # id -> lattice number
+    number[np.fromiter(seen.values(), np.int64, n)] = np.arange(n)
+    join = np.ones((n, n), dtype=np.int64)  # eR + I = eR
+    join[0] = join[:, 0] = np.arange(n)  # 0 + I = I
+    lower = np.tri(n - 2, k=-1, dtype=bool)  # row-major, its cells are the pairs b < a in order
+    join[2:, 2:][lower] = join[2:, 2:].T[lower] = number[np.frombuffer(sum_ids, dtype=np.int64)]
+    join.flat[::n + 1] = np.arange(n)
+    return lattices, join
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
@@ -233,11 +299,8 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
     _same_ring(i, j)
     mask = i.mask & j.mask
-    lat = intmat.hnf_full_rank(
-        [[int(c) for c in i.ring._coords[m]] for m in indices_from_mask(mask)]
-        + i.ring.diag_rows(),
-        i.ring.k,
-    )
+    members = i.ring._coords[flags_from_mask(i.ring.order, mask)].tolist()
+    lat = intmat.hnf_full_rank(members + i.ring.diag_rows(), i.ring.k)
     return Ideal(i.ring, lat, _mask=mask)
 
 
@@ -245,29 +308,19 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     """Ideal generated by pairwise products of members (via lattice rows)."""
     _same_ring(i, j)
     ring = i.ring
-    rows = []
-    for a in i.lattice:
-        ai = ring.index_of(a)
-        mat = ring.mul_matrix(ai)  # row l = b_l * a
-        for b in j.lattice:
-            vec = (np.array([c % d for c, d in zip(b, ring.invariant_factors)], dtype=np.int64)
-                   @ mat) % ring._df
-            rows.append([int(v) for v in vec])
-    return _from_lattice(ring, rows)
+    d = ring._df
+    mats = _basis_products(ring, [ring.index_of(a) for a in i.lattice])  # mats[a][l] = b_l * a
+    rows = np.einsum("bl,alm->abm", np.array(j.lattice, dtype=np.int64) % d, mats) % d
+    return _from_lattice(ring, rows.reshape(-1, ring.k).tolist())
 
 
 def annihilator(i: Ideal) -> Ideal:
     """{x : x * I = 0}, found by scanning the carrier against the lattice rows."""
     ring = i.ring
-    gen_idx = [ring.index_of(row) for row in i.lattice]
-    keep = np.ones(ring.order, dtype=bool)
-    for g in gen_idx:
-        mat = ring.mul_matrix(g)
-        prods = (ring._coords @ mat) % ring._df
-        keep &= ~np.any(prods, axis=1)
-    members = np.nonzero(keep)[0]
-    rows = [[int(c) for c in ring._coords[m]] for m in members]
-    lat = intmat.hnf_full_rank(rows + ring.diag_rows(), ring.k)
+    mats = _basis_products(ring, [ring.index_of(row) for row in i.lattice])
+    prods = np.einsum("nj,gjl->ngl", ring._coords, mats) % ring._df  # prods[x, g] = x * g
+    members = np.nonzero(~prods.any(axis=(1, 2)))[0]
+    lat = intmat.hnf_full_rank(ring._coords[members].tolist() + ring.diag_rows(), ring.k)
     return Ideal(ring, lat, _mask=mask_from_indices(ring.order, members))
 
 

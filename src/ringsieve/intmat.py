@@ -6,6 +6,7 @@ without bound during elimination.  ``hnf_mod`` is the one int64 path: it
 serves lattices that contain diag(d), whose entries stay below d_k.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from .errors import RankDeficient
 
 Matrix = list[list[int]]
 
-HNF_CHUNK = 256  # lattices per hnf_mod call from lattice_pair_sums or ideals.principal_lattices
+HNF_CHUNK = 256  # lattices per hnf_mod call from lattice_pair_sums or the ideals module
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -53,7 +54,7 @@ def hnf(rows) -> Matrix:
                 col += 1
             if col == n:
                 break
-            pos = _bisect(pivots, col)
+            pos = bisect_left(pivots, col)
             if pos == len(pivots) or pivots[pos] != col:
                 basis.insert(pos, vec)
                 pivots.insert(pos, col)
@@ -83,17 +84,6 @@ def hnf(rows) -> Matrix:
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
     return basis
-
-
-def _bisect(seq: list[int], x: int) -> int:
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def hnf_full_rank(rows, n: int) -> tuple[tuple[int, ...], ...]:

@@ -9,12 +9,12 @@ witness lives in.
 """
 
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
+from . import intmat
 from .errors import VerificationFailed, ZeroRingRejected
-from .ideals import Ideal, ideal_generated, ideal_product, principal_lattices
+from .ideals import Ideal, ideal_product, ring_structure, unit_ideal
 from .rings import Element, FiniteRing
 
 IDEMPOTENT_CHUNK = 1 << 12  # idempotent pairs per batched product in primitive_idempotents
@@ -24,9 +24,9 @@ IDEMPOTENT_CHUNK = 1 << 12  # idempotent pairs per batched product in primitive_
 class LocalDecomposition:
     """Primitive idempotents e_i with the local factors e_i R, all ideals of R.
 
-    The split is re-verified on R at construction time: the e_i are
-    pairwise orthogonal and sum to 1, the |e_i R| multiply to |R|, and
-    every e_i R is local, so x -> (e_i x) is an isomorphism of R onto the
+    The split is re-verified on R whenever the ring's structure is built
+    (the e_i pairwise orthogonal and summing to 1, the |e_i R| multiplying
+    to |R|), and here every e_i R is checked local, so x -> (e_i x) is an isomorphism of R onto the
     product of the e_i R.  ``maximal_ideals[i]`` is the maximal ideal of
     e_i R (its non-units), found by the locality check.
     """
@@ -84,20 +84,19 @@ def primitive_idempotents(ring: FiniteRing) -> list[Element]:
 
 
 def units_mask(ring: FiniteRing) -> np.ndarray:
-    """Boolean carrier array marking units.
-
-    An element is a unit exactly when its principal ideal is the whole
-    ring, read off the principal-ideal batch that all_ideals shares.
-    (Agrees with a pairwise product scan; the tests check that on small
-    rings.)
+    """Boolean carrier array marking units: x is a unit exactly when every
+    e * x is a unit of its factor eR, read off the ring's structure.
+    (Agrees with a pairwise product scan; the tests check that.)
     """
-    return principal_lattices(ring)[1].copy()
+    return ring_structure(ring).units.copy()
 
 
 def is_local(ring: FiniteRing) -> tuple[bool, Ideal | None]:
     """True iff the non-units form an ideal; returns that ideal when they do."""
     _reject_zero(ring)
-    maximal = _maximal_ideal(ideal_generated(ring, [ring.unit]), ring.unit, units_mask(ring))
+    if len(ring_structure(ring).idempotents) > 1:
+        return False, None
+    maximal = _maximal_ideal(unit_ideal(ring), ring.unit, units_mask(ring))
     return maximal is not None, maximal
 
 
@@ -106,36 +105,36 @@ def _maximal_ideal(factor: Ideal, e: Element, units: np.ndarray) -> Ideal | None
     local), else None; ``units`` marks the units of R.
 
     x in eR is a unit of eR iff x + (1 - e) is a unit of R, and the ideals
-    of R inside eR are exactly the ideals of eR.
+    of R inside eR are exactly the ideals of eR.  The non-units generate
+    the sum of the proper nonzero principal ideals of eR, summed in halves.
     """
     ring = factor.ring
-    members = factor.members
-    nonunits = members[~units[ring.add_to_all((ring.unit - e).index, members)]]
-    closure = ideal_generated(ring, [ring.element_at(int(i)) for i in nonunits])
-    return closure if closure.size == len(nonunits) else None
+    nonunits = np.count_nonzero(~units[ring.add_to_all((ring.unit - e).index, factor.members)])
+    structure = ring_structure(ring)
+    lattices = structure.lattices[structure.idempotents.index(e.index)][1:]
+    if not len(lattices):
+        lattices = np.diag(ring._df)[None]  # eR is a field, m = 0
+    while len(lattices) > 1:
+        half = len(lattices) // 2
+        sums = intmat.hnf_mod(lattices[:half], lattices[half:2 * half], ring._df)
+        lattices = np.concatenate([sums, lattices[2 * half:]])
+    closure = Ideal(ring, tuple(map(tuple, lattices[0].tolist())))
+    return closure if closure.size == nonunits else None
 
 
 def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
-    """Split along primitive idempotents and re-verify the split on R."""
+    """The split the ring's structure verified, each factor checked local."""
     _reject_zero(ring)
-    prim = primitive_idempotents(ring)
-    total = ring.zero
-    for i, e in enumerate(prim):
-        total = total + e
-        if any(ring.mul(e, f) != ring.zero for f in prim[i + 1:]):
-            raise VerificationFailed("idempotents are not pairwise orthogonal")
-    if total != ring.unit:
-        raise VerificationFailed("idempotents do not sum to 1")
-    factors = [ideal_generated(ring, [e]) for e in prim]
-    if prod(f.size for f in factors) != ring.order:
-        raise VerificationFailed("factor orders do not multiply to |R|")
+    structure = ring_structure(ring)
     units = units_mask(ring)
-    maximals = [_maximal_ideal(f, e, units) for f, e in zip(factors, prim)]
+    idempotents = [ring.element_at(e) for e in structure.idempotents]
+    factors = [Ideal(ring, tuple(map(tuple, f[0].tolist()))) for f in structure.lattices]
+    maximals = [_maximal_ideal(f, e, units) for f, e in zip(factors, idempotents)]
     if any(m is None for m in maximals):
         raise VerificationFailed("decomposition produced a non-local factor")
     return LocalDecomposition(
         ring=ring,
-        idempotents=tuple(prim),
+        idempotents=tuple(idempotents),
         factor_ideals=tuple(factors),
         maximal_ideals=tuple(maximals),
     )

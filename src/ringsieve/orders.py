@@ -252,14 +252,14 @@ def order_quotient(
     return ring, OrderProjection(order, lattice, ring, proj_cols, section_rows)
 
 
-def push_to_quotient(order: Order, ideal_gen_lists):
+def push_to_quotient(order: Order, ideal_gen_lists, carrier_bound: int = config.CARRIER_BOUND):
     """Common setup: ideal lattices, their intersection H, the quotient
     ring with projection, and the image ideals."""
     lattices = [order_ideal(order, gens) for gens in ideal_gen_lists]
     common = lattices[0]
     for lat in lattices[1:]:
         common = lattice_intersect(common, lat)
-    ring, proj = order_quotient(order, common)
+    ring, proj = order_quotient(order, common, carrier_bound)
     images = tuple(proj.push_lattice(lat) for lat in lattices)
     return lattices, common, ring, proj, images
 
@@ -270,6 +270,7 @@ def rogers_check_order(
     shifts=None,
     tuple_cap: int = config.TUPLE_CAP,
     workers: int = 1,
+    carrier_bound: int = config.CARRIER_BOUND,
 ) -> RogersReport:
     """Shift minimization for order ideals, computed in O/(I_1 n ... n I_r).
 
@@ -277,7 +278,7 @@ def rogers_check_order(
     intersection of nonzero ideals in an order is again full rank, so the
     quotient is finite and the finite-ring engine applies verbatim.
     """
-    _, _, ring, proj, images = push_to_quotient(order, ideal_gen_lists)
+    _, _, ring, proj, images = push_to_quotient(order, ideal_gen_lists, carrier_bound)
     shift_els = None
     if shifts is not None:
         shift_els = tuple(proj(vec) for vec in shifts)
@@ -297,9 +298,8 @@ class ProbeWitness:
     report: RogersReport
 
 
-def nonmaximality_probe(
-    order: Order, bound: int, tuple_cap: int = config.TUPLE_CAP
-) -> ProbeWitness | None:
+def nonmaximality_probe(order: Order, bound: int, tuple_cap: int = config.TUPLE_CAP,
+                        carrier_bound: int = config.CARRIER_BOUND) -> ProbeWitness | None:
     """Scan quotients O/(n), 2 <= n <= bound, for a non-chain local factor.
 
     O/nO is the product of the O/p^e O over the prime powers p^e exactly
@@ -323,10 +323,10 @@ def nonmaximality_probe(
     for conductor in range(2, bound + 1):
         p = next(q for q in range(2, conductor + 1) if conductor % q == 0)
         # conductor | p^conductor iff the conductor is a power of p
-        if conductor ** n <= config.CARRIER_BOUND and (pow(p, conductor, conductor) or disc % p):
+        if conductor ** n <= carrier_bound and (pow(p, conductor, conductor) or disc % p):
             continue
         principal = order_ideal(order, [tuple(conductor if l == 0 else 0 for l in range(n))])
-        ring, proj = order_quotient(order, principal)
+        ring, proj = order_quotient(order, principal, carrier_bound)
         verdict = classify(ring)
         if verdict.is_chain_local_product:
             continue
@@ -337,9 +337,8 @@ def nonmaximality_probe(
             gens += [tuple(conductor * x for x in b) for b in order.basis]
             lifted_gens.append(tuple(gens))
         lifted_shifts = tuple(proj.section(s) for s in witness.shifts)
-        report = rogers_check_order(
-            order, lifted_gens, shifts=lifted_shifts, tuple_cap=tuple_cap
-        )
+        report = rogers_check_order(order, lifted_gens, shifts=lifted_shifts,
+                                    tuple_cap=tuple_cap, carrier_bound=carrier_bound)
         if report.satisfied:
             raise VerificationFailed("lifted witness failed re-verification")
         return ProbeWitness(

@@ -126,8 +126,7 @@ class FiniteRing:
         self._sc = sc
         self.is_zero = self.order == 1
         self._coords_cache: np.ndarray | None = None
-        self._ideal_cache = None  # (ideal lattices and masks, join table), by ideals.all_ideals
-        self._principal_cache = None  # filled lazily by ideals.principal_lattices
+        self._structure = None  # ideals.RingStructure, built by ideals.ring_structure
 
     # unit and zero are built on each use: an Element kept here would refer
     # back to the ring, and a dropped ring would wait for the cycle collector
@@ -207,14 +206,6 @@ class FiniteRing:
         k = self.k
         mat = (x @ self._sc.reshape(k, k * k)).reshape(k, k) % self._df
         return (y @ mat) % self._df
-
-    def mul_matrix(self, idx: int) -> np.ndarray:
-        """k x k matrix whose row i is coords(b_i * x); y*x = coords(y) @ M."""
-        return np.tensordot(self._coords[idx], self._sc, axes=(0, 1)) % self._df
-
-    def basis_product_rows(self, idx: int) -> list[list[int]]:
-        """Integer rows [b_1*x, ..., b_k*x]; additive span is the principal ideal (x)."""
-        return self.mul_matrix(idx).tolist()
 
     def diag_rows(self) -> list[list[int]]:
         """Relation rows d_i * e_i of the coordinate lattice."""

@@ -15,7 +15,7 @@ Conventions (all load-bearing for determinism):
 """
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
@@ -302,7 +302,8 @@ def theorem2_verify(
     Triples are decided by the exact intersection-pattern criterion, on
     the ideals' join and meet tables; every negative verdict is confirmed
     by evaluating an explicit shrinking tuple before returning.  Raises
-    SearchSpaceTooLarge when the multisets of ``r_max`` ideals outnumber
+    SearchSpaceTooLarge, before any scan, when the antichains of 4 to
+    ``r_max`` ideals, which the walk past triples scans, outnumber
     ``tuple_cap``.  Must agree with the chain-local-product classification
     on every ring; the acceptance suite asserts exactly that.
     """
@@ -311,13 +312,11 @@ def theorem2_verify(
     if r_max < 3:
         raise ValueError("r_max below 3 checks nothing the pair theory does not cover")
     ideals = all_ideals(ring)
-    n = len(ideals)
-    # multisets of r_max ideals outnumber those of every smaller size
-    required = comb(n + r_max - 1, r_max)
-    if required > tuple_cap:
-        raise SearchSpaceTooLarge(required, tuple_cap)
-
     join = join_table(ring)
+    required = _antichain_count(join, r_max, tuple_cap)
+    if required > tuple_cap:
+        raise SearchSpaceTooLarge(required, tuple_cap, at_least=True)
+
     meet = _meet_table(join)
     failing = _first_failing_triple(join, meet)
     if failing is not None:
@@ -383,6 +382,32 @@ def _first_failing_triple(join: np.ndarray, meet: np.ndarray) -> tuple[int, int,
             return lo + int(r), lo + int(b), lo + int(c)
         lo = hi
     return None
+
+
+def _antichain_count(join: np.ndarray, largest: int, cap: int) -> int:
+    """The antichains of 4 to ``largest`` ideals, counted until the count
+    passes ``cap``.  Bit d of ``later[c]`` says that d > c is apart from c;
+    a set extends by its candidates, the ideals later than and apart from
+    all its members, and a set one short of ``largest`` counts them at once.
+    """
+    if largest < 4:
+        return 0
+    below = join == np.arange(len(join))
+    later = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+             for row in np.triu(~(below | below.T), 1)]
+    count, stack = 0, [(1, candidates) for candidates in later]  # (size, candidates) per set
+    while stack and count <= cap:
+        size, candidates = stack.pop()
+        count += size >= 4
+        if size == largest - 1:
+            count += candidates.bit_count()
+        elif size + candidates.bit_count() >= 4:
+            rest = candidates
+            while rest:
+                c = rest.bit_length() - 1
+                rest ^= 1 << c
+                stack.append((size + 1, candidates & later[c]))
+    return count
 
 
 def _antichains(join: np.ndarray, smallest: int, largest: int):

@@ -9,6 +9,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 
 def ring_axioms_exhaustive(ring) -> bool:
     """Associativity, commutativity, distributivity and unit on the whole carrier."""
@@ -122,11 +124,54 @@ def union_at_shifts(ring, ideals, shift_indices) -> int:
 
 
 def units_by_product_scan(ring) -> list[bool]:
+    """x is a unit iff x * y = 1 for some y: one row of products per x."""
+    coords, weights = _carrier(ring)
     one = ring.unit.index
-    return [
-        any(ring.mul_idx(i, j) == one for j in range(ring.order))
-        for i in range(ring.order)
-    ]
+    return [bool(np.any(ring.mul_coords(x, coords) @ weights == one)) for x in coords]
+
+
+def _carrier(ring) -> tuple[np.ndarray, np.ndarray]:
+    """Every carrier element's coordinates, in carrier order, and the
+    weights that turn coordinates back into carrier indices."""
+    coords = np.array([ring.coords_of(i) for i in range(ring.order)], dtype=np.int64)
+    return coords, np.cumprod((1,) + ring.invariant_factors[:-1])
+
+
+def ideals_by_sum_closure(ring) -> tuple[list[frozenset], dict]:
+    """Every ideal as a member set, and the member set of every pairwise
+    sum, keyed by the pair: the principal ideals xR = {x * r : r in R},
+    closed under sums of subgroups, each a union of cosets of one side."""
+    coords, weights = _carrier(ring)
+    d = np.array(ring.invariant_factors, dtype=np.int64)
+
+    def plus(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        inside = np.zeros(ring.order, dtype=bool)
+        inside[list(a)] = True
+        base = coords[sorted(a)]
+        for y in b:
+            if not inside[y]:
+                inside[(base + coords[y]) % d @ weights] = True
+        return frozenset(np.flatnonzero(inside).tolist())
+
+    principal = {}  # packed membership flags -> member set, per distinct x * R
+    for x in coords:
+        inside = np.zeros(ring.order, dtype=bool)
+        inside[ring.mul_coords(x, coords) @ weights] = True
+        key = np.packbits(inside).tobytes()
+        if key not in principal:
+            principal[key] = frozenset(np.flatnonzero(inside).tolist())
+    found = list(principal.values())
+    seen = set(found)
+    sums = {}
+    for i, a in enumerate(found):  # ``found`` grows while it is walked
+        for b in found[:i + 1]:
+            sums[a, b] = sums[b, a] = total = plus(a, b)
+            if total not in seen:
+                seen.add(total)
+                found.append(total)
+    return found, sums
 
 
 def unit_preserving_isomorphism_exists(a, b) -> bool:

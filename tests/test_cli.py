@@ -38,6 +38,17 @@ def test_verify_theorem2_rmax_fifteen():
     assert got == (0, "record=verdict satisfied_all_triples=true\n", "")
 
 
+def test_verify_theorem2_rmax_past_the_multiset_count():
+    # the cap bounds the antichains the walk scans, not the multisets of
+    # r_max ideals (13,037,895 of 16 of Z/60's 12 ideals)
+    for rmax in ("16", "30"):
+        got = run_cli(["--format", "machine", "verify-theorem2", "catalog:Zn:60", "--rmax", rmax])
+        assert got == (0, "record=verdict satisfied_all_triples=true\n", "")
+    got = run_cli(["--format", "machine", "--tuple-cap", "22", "verify-theorem2",
+                   "catalog:socle2:5", "--rmax", "6"])
+    assert got == (2, "record=verdict satisfied_all_triples=false\n", "")
+
+
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -147,6 +158,25 @@ def test_probe_past_the_carrier_bound_ends_in_the_same_error(tmp_path):
         assert run_cli(argv) == (1, "", f"error: carrier size {size} exceeds bound 4096\n")
 
 
+def test_probe_and_order_check_read_the_global_carrier_bound(tmp_path):
+    # Z[11i] first fails at conductor 121, whose quotient has 14,641 elements
+    path = tmp_path / "z11i.order"
+    path.write_text("order 2\nmul 2 2 -121 0\n", encoding="utf-8")
+    assert run_cli(["probe", str(path), "--bound", "130"]) == (
+        1, "", "error: carrier size 4225 exceeds bound 4096\n")
+    code, out, _ = run_cli(["--carrier-bound", "20000", "probe", str(path), "--bound", "130"])
+    assert code == 2
+    fields = dict(l.split("=", 1) for l in out.splitlines())
+    assert (fields["conductor"], fields["quotient_order"]) == ("121", "14641")
+    args = ["order-check", str(path), "--shifts", fields["shifts"]]
+    for key in ("ideal_1", "ideal_2", "ideal_3"):
+        args += ["--ideal", fields[key]]
+    code, out, _ = run_cli(args)
+    assert code == 2
+    assert "satisfied=false" in out
+    assert f"minimum={fields['union_shifted']}" in out
+
+
 def test_order_check_key_example_machine_format():
     code, out, _ = run_cli([
         "--format", "machine",
@@ -194,7 +224,8 @@ def test_usage_errors_exit_one():
         (["nosuch", "catalog:Z12"], None),
         (["--carrier-bound", "10000000000", "validate", "{file}"],
          "ring 1 3100000000\nmul 1 1 1\none 1\n"),
-        (["verify-theorem2", "catalog:Zn:60", "--rmax", "30"], None),
+        # F5[x,y]/(x,y)^2 has six minimal ideals: 22 antichains of four or more
+        (["--tuple-cap", "21", "verify-theorem2", "catalog:socle2:5", "--rmax", "6"], None),
     ],
     ids=["ring-header", "mul-line", "order-header", "workers", "carrier-bound", "tuple-cap",
          "workers-not-int", "missing-moduli", "unknown-command", "int64-modulus",

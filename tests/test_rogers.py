@@ -1,7 +1,6 @@
 """The shift-minimization engine: reports, witnesses, whole-ring verification."""
 
 import itertools
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -353,6 +352,7 @@ def test_rmax_walk_scans_each_antichain_once(name, r_max, monkeypatch):
     members = [frozenset(int(m) for m in ideal.members) for ideal in ideals]
     expected = oracles.antichains_met_by_multisets(members, 4, r_max)
     assert scanned == [tuple(ideals[i].mask for i in chosen) for chosen in expected]
+    assert rogers._antichain_count(join_table(ring), r_max, 10 ** 7) == len(expected)
     if name == "Zn:60":
         assert len(scanned) == 1  # the four ideals of index 4, 6, 10 and 15
 
@@ -368,8 +368,8 @@ def test_rmax_verdicts(r_max):
             got[name] = theorem2_verify(ring, r_max=r_max)
         except SearchSpaceTooLarge:
             got[name] = "too large"
-    assert got == {"Zn:60": True, "Z12": True, "F2xy": False, "F2^4": True,
-                   "Z12xF2xy": "too large" if r_max == 8 else False}
+    # Z12xF2xy has 9,301 antichains of 4 to 8 ideals, far below the tuple cap
+    assert got == {"Zn:60": True, "Z12": True, "F2xy": False, "F2^4": True, "Z12xF2xy": False}
 
 def test_theorem2_examples(z12, f2xy):
     assert theorem2_verify(z12) is True
@@ -387,12 +387,16 @@ def test_theorem2_higher_r(z12, f2xy):
     assert theorem2_verify(f2xy, r_max=4) is False
     with pytest.raises(ValueError):
         theorem2_verify(z12, r_max=2)
-    # Z12 has 6 ideals: 126 multisets of size 4, 3,003 of size 10
-    assert theorem2_verify(z12, r_max=4, tuple_cap=comb(9, 4)) is True
-    with pytest.raises(SearchSpaceTooLarge):
-        theorem2_verify(z12, r_max=4, tuple_cap=comb(9, 4) - 1)
-    with pytest.raises(SearchSpaceTooLarge):
-        theorem2_verify(z12, r_max=10, tuple_cap=comb(15, 10) - 1)
+    # the cap bounds the antichains of 4 to r_max ideals, the sets the walk
+    # scans: Z12's six ideals form none, F2^4's sixteen form 25 of four
+    # ideals and 32 of four or more
+    assert theorem2_verify(z12, r_max=10, tuple_cap=1) is True
+    f2_4 = _walk_rings()["F2^4"]
+    assert [rogers._antichain_count(join_table(f2_4), r_max, 32) for r_max in (4, 10)] == [25, 32]
+    with pytest.raises(SearchSpaceTooLarge, match="at least .* tuples exceeds cap 24"):
+        theorem2_verify(f2_4, r_max=4, tuple_cap=24)
+    with pytest.raises(SearchSpaceTooLarge, match="at least .* tuples exceeds cap 31"):
+        theorem2_verify(f2_4, r_max=10, tuple_cap=31)
 
 
 SMALL_CATALOG = ("Zn:2", "Zn:4", "Zn:6", "Zn:8", "Zn:9", "Zn:12", "Fq:4", "dual:2", "dual:3",

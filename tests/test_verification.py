@@ -122,3 +122,29 @@ def test_push_off_the_kernel_raises_under_optimize():
     assert _run_optimized(PUSH_OFF_THE_KERNEL) == (
         "optimize=1 raised: IntegerLattice(((3, 0), (0, 3))) is not an ideal lattice over the kernel\n"
         "optimize=1 raised: IntegerLattice(((1, 0), (0, 2))) is not an ideal lattice over the kernel\n")
+
+
+BROKEN_SPLIT = """
+import sys
+import ringsieve.localstruct as localstruct
+from ringsieve.errors import VerificationFailed
+from ringsieve.ideals import all_ideals
+from ringsieve.rings import make_cyclic
+
+real = localstruct.primitive_idempotents  # 4 and 9 in Z/12
+for broken in (
+    lambda ring: real(ring)[1:],  # 9 alone does not sum to 1
+    lambda ring: real(ring) + real(ring)[:1],  # 4 * 4 != 0
+):
+    localstruct.primitive_idempotents = broken
+    try:
+        all_ideals(make_cyclic(12))
+    except VerificationFailed as exc:
+        print(f"optimize={sys.flags.optimize} raised: {exc}")
+"""
+
+
+def test_broken_split_raises_from_all_ideals_under_optimize():
+    assert _run_optimized(BROKEN_SPLIT) == (
+        "optimize=1 raised: idempotents do not sum to 1\n"
+        "optimize=1 raised: idempotents are not pairwise orthogonal\n")
