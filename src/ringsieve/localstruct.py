@@ -5,7 +5,7 @@ the local factors eR; the classification predicate asks every factor to
 have linearly ordered ideals.  Each factor is decided as the ideal eR of
 R itself, from R's unit flags: no factor ring is built here, and
 rogers.counterexample builds one (R / (1 - e)R) only for the factor its
-witness lives in.
+witness lives in, and none when R is local.
 """
 
 from dataclasses import dataclass, field

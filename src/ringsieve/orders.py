@@ -13,6 +13,7 @@ these matrices because SNF intermediates can exceed any fixed width.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 
 from . import config, intmat
 from .errors import (
@@ -176,6 +177,45 @@ def discriminant(order: Order) -> int:
     return int(det)
 
 
+def _p_maximal(order: Order, p: int) -> bool:
+    """True iff the order is p-maximal, for disc(O) != 0 (Pohst-Zassenhaus;
+    Cohen, GTM 138, Thm 6.1.3 and Alg. 6.1.8).
+
+    The radical I_p of pO is the kernel of the F_p-linear x -> x^q on O/pO,
+    q = p^j >= n.  (I_p : I_p) = (1/p){x : x I_p <= p I_p} equals O iff
+    x -> (y -> xy on I_p/pI_p) has rank n over F_p; integer rows of length
+    m and rank r over F_p, stacked on p*I_m, span a lattice of index p^(m - r).
+    """
+    n, q = order.rank, p
+    while q < n:
+        q *= p
+    powers = []
+    for b in order.basis:
+        x = b
+        for _ in range(q - 1):
+            x = tuple(c % p for c in order.mul(x, b))
+        powers.append(list(x))
+    radical = intmat.hnf_full_rank([u[:n] for u in intmat.kernel(powers + _diagonal(p, n))], n)
+    rows = []
+    for b in order.basis:
+        row = []
+        for v in radical:  # coordinates of b * v in the radical's basis, mod p
+            w = list(order.mul(b, v))
+            for i, r in enumerate(radical):
+                c, rem = divmod(w[i], r[i])
+                if rem:
+                    raise VerificationFailed(f"the radical of {p}O is not an ideal")
+                w = [a - c * e for a, e in zip(w, r)]
+                row.append(c % p)
+        rows.append(row)
+    m = n * n
+    return intmat.lattice_det(intmat.hnf_full_rank(rows + _diagonal(p, m), m)) == p ** (m - n)
+
+
+def _diagonal(p: int, n: int) -> list[list[int]]:
+    return [[p * int(i == j) for j in range(n)] for i in range(n)]
+
+
 def order_ideal(order: Order, gens) -> IntegerLattice:
     """Lattice of the ideal generated by integer vectors (module closure).
 
@@ -304,10 +344,11 @@ def nonmaximality_probe(order: Order, bound: int, tuple_cap: int = config.TUPLE_
 
     O/nO is the product of the O/p^e O over the prime powers p^e exactly
     dividing n (Chinese remainder theorem), so the first failing n is a
-    prime power.  When p does not divide disc(O), O (x) Z_p is etale and
-    every O/p^e O is a product of Galois rings, which are chain rings.  So
-    only powers of primes dividing disc(O) (of every prime when disc(O) =
-    0) are classified, and the scan stops at the same conductor as a scan
+    prime power.  A local factor of O/p^2 O at P with a principal maximal
+    ideal makes O_P a DVR (Nakayama), so O/p^e O is chain at P for every e:
+    only p and p^2 can fail first, and they do iff O is not p-maximal,
+    which needs p^2 | disc(O).  Only those n are classified (for every p
+    when disc(O) = 0), and the scan stops at the same conductor as a scan
     over every n.  An n whose quotient exceeds the carrier bound is still
     built, so the scan ends in the same error there.
 
@@ -320,15 +361,19 @@ def nonmaximality_probe(order: Order, bound: int, tuple_cap: int = config.TUPLE_
         raise ValueError("probe bound must be at least 2")
     n = order.rank
     disc = discriminant(order)
+    p_maximal = cache(partial(_p_maximal, order))
     for conductor in range(2, bound + 1):
         p = next(q for q in range(2, conductor + 1) if conductor % q == 0)
-        # conductor | p^conductor iff the conductor is a power of p
-        if conductor ** n <= carrier_bound and (pow(p, conductor, conductor) or disc % p):
+        if conductor ** n <= carrier_bound and (
+                conductor not in (p, p * p) or disc % (p * p) or disc and p_maximal(p)):
             continue
         principal = order_ideal(order, [tuple(conductor if l == 0 else 0 for l in range(n))])
         ring, proj = order_quotient(order, principal, carrier_bound)
         verdict = classify(ring)
         if verdict.is_chain_local_product:
+            if conductor == p * p and disc and not p_maximal(p):
+                raise VerificationFailed(f"O/{conductor}O is a chain-local product, "
+                                         f"but O is not {p}-maximal")
             continue
         witness = _witness_from_verdict(verdict)
         lifted_gens = []

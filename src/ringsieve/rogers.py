@@ -233,7 +233,8 @@ def counterexample(ring: FiniteRing) -> Witness:
     Recursion mirrors the structure theory: pick the offending local
     factor; inside it either read the witness off the socle or quotient by
     the unique minimal ideal, recurse, and pull the witness back through
-    the projection; finally embed into the full ring and re-verify.
+    the projection; finally embed into the full ring and re-verify.  A
+    local ring is its own factor, so no factor ring is built for it.
     """
     return _witness_from_verdict(classify(ring))
 
@@ -244,15 +245,18 @@ def _witness_from_verdict(verdict: ClassificationVerdict) -> Witness:
         raise AlreadyChainLocalProduct("every local factor has linearly ordered ideals")
     decomp = verdict.decomposition
     ring = decomp.ring
-    fidx = verdict.offending_factor
-    e = decomp.idempotents[fidx]
-    factor, proj = make_quotient(ring, ideal_generated(ring, [ring.unit - e]))  # R/(1 - e)R = eR
-    # proj maps eR isomorphically onto the factor, so the maximal ideal onto its maximal ideal
-    images = [proj(ring.element(row)) for row in decomp.maximal_ideals[fidx].lattice]
-    local_witness = _local_witness(factor, ideal_generated(factor, images))
-    # preimages are I_j x (the other factors); e * section(s) lifts each shift
-    shifts = tuple(ring.mul(e, proj.section(s)) for s in local_witness.shifts)
-    witness = _pull_back(ring, proj, local_witness, shifts)
+    if len(decomp.idempotents) == 1:  # R is its own local factor
+        witness = _local_witness(ring, decomp.maximal_ideals[0])
+    else:
+        fidx = verdict.offending_factor
+        e = decomp.idempotents[fidx]
+        factor, proj = make_quotient(ring, ideal_generated(ring, [ring.unit - e]))  # R/(1-e)R = eR
+        # proj maps eR isomorphically onto the factor, so the maximal ideal onto its maximal ideal
+        images = [proj(ring.element(row)) for row in decomp.maximal_ideals[fidx].lattice]
+        local_witness = _local_witness(factor, ideal_generated(factor, images))
+        # preimages are I_j x (the other factors); e * section(s) lifts each shift
+        shifts = tuple(ring.mul(e, proj.section(s)) for s in local_witness.shifts)
+        witness = _pull_back(ring, proj, local_witness, shifts)
     report = rogers_check(ring, witness.ideals, shifts=witness.shifts)
     if report.minimum != witness.union_shifted or report.baseline != witness.union_baseline:
         raise VerificationFailed("counterexample failed re-verification")

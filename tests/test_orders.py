@@ -331,12 +331,6 @@ def _first_failing_conductor(order, bound):
     return None
 
 
-def _is_power_of(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def test_probe_classifies_only_conductors_that_can_fail_first(monkeypatch):
     seen = []
 
@@ -354,9 +348,11 @@ def test_probe_classifies_only_conductors_that_can_fail_first(monkeypatch):
         expected = _first_failing_conductor(order, bound)
         assert (found and found.conductor) == expected, name
         last = bound if expected is None else expected
+        # p and p^2, for the p with p^2 | disc that are not p-maximal
         primes = [p for p in range(2, last + 1)
-                  if all(p % q for q in range(2, p)) and (disc == 0 or disc % p == 0)]
-        kept = [n for n in range(2, last + 1) if any(_is_power_of(n, p) for p in primes)]
+                  if all(p % q for q in range(2, p)) and disc % (p * p) == 0
+                  and not (disc and orders._p_maximal(order, p))]
+        kept = [n for n in range(2, last + 1) if any(n in (p, p * p) for p in primes)]
         assert seen == [n ** order.rank for n in kept], name
 
 
@@ -381,3 +377,95 @@ def test_push_lattice_matches_lift_membership():
                     ring, lambda x: proj.section(ring.element_at(x)), lattice.basis)
                 assert proj.push_lattice(lattice).mask == expected, name
     assert checked >= 40
+
+
+def _square_part(d):
+    """The largest f with f^2 | d, for d != 0."""
+    return max(f for f in range(1, abs(d) + 1) if d % (f * f) == 0)
+
+
+def _maximal_closed_forms():
+    """(name, order, [O_K : O]) for orders whose index in the maximal order is known."""
+    out = []
+    for d in range(-30, 31):
+        f = _square_part(d) if d else 1
+        s = d // (f * f)  # squarefree; O_K is Z[(1 + sqrt s)/2] when s = 1 mod 4, else Z[sqrt s]
+        if s not in (0, 1):
+            out.append((f"Z[sqrt {d}]", _quadratic(d, 0), f * (2 if s % 4 == 1 else 1)))
+    out += [(f"Z[{f}i]", _quadratic(-f * f, 0), f) for f in range(1, 13)]
+    for m in range(2, 41):
+        if all(m % (q ** 3) for q in range(2, m + 1)):
+            # m = a b^2 with a, b squarefree and coprime; b is the square part of m
+            b = _square_part(m)
+            out.append((f"Z[cbrt {m}]", _cubic(-m, 0, 0), 3 * b if m % 9 in (1, 8) else b))
+    return out
+
+
+def test_p_maximal_closed_forms():
+    # O is p-maximal iff p does not divide [O_K : O]
+    forms = _maximal_closed_forms()
+    assert len(forms) >= 90
+    for name, order, index in forms:
+        for p in (2, 3, 5, 7):
+            assert orders._p_maximal(order, p) == (index % p != 0), (name, p)
+
+
+def _chain_local_product_by_oracle(ring):
+    """True iff, for every primitive idempotent e, the ideals inside eR,
+    as member sets, form a chain."""
+    ideals, _ = oracles.ideals_by_sum_closure(ring)
+    for e in oracles.primitive_idempotents_pairwise(ring):
+        factor = {ring.mul_idx(e, x) for x in range(ring.order)}
+        if not oracles.is_chain([i for i in ideals if i <= factor]):
+            return False
+    return True
+
+
+def _etale_orders():
+    """Orders with disc != 0: quadratic orders with two rational roots
+    (Z[t]/(t^2 - 1) first), cubics with a rational root, and random
+    quadratics and cubics."""
+    rng = random.Random(17)
+    out = [_quadratic(1, 0), _quadratic(4, 0), _quadratic(0, 4), _quadratic(6, 1)]
+    for _ in range(8):  # (t - a)(t^2 + b t + c)
+        a, b, c = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)
+        out.append(_cubic(-a * c, c - a * b, b - a, rng.randint(1, 2)))
+    out += _random_orders(23, 6)
+    return [order for order in out if discriminant(order)]
+
+
+def test_p_maximal_matches_chain_quotients_on_etale_orders():
+    # by the p/p^2 rule, O is p-maximal iff O/p^2 O is a chain-local product
+    checked = 0
+    for order in _etale_orders():
+        disc = discriminant(order)
+        for p in (2, 3) if order.rank == 3 else (2, 3, 5):
+            if p > 2 and disc % (p * p):
+                continue  # p-maximal, and a large quotient
+            square = order_ideal(order, [(p * p,) + (0,) * (order.rank - 1)])
+            ring, _ = order_quotient(order, square)
+            assert orders._p_maximal(order, p) == _chain_local_product_by_oracle(ring), (order, p)
+            checked += 1
+    assert checked >= 20
+
+
+def _orders_with_disc_zero(seed, count):
+    """Z[t]/((t - a)^2) and the order (1, k t, k t^2) in Z[t]/((t - a)^2 (t - b))."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        out.append(_quadratic(-a * a, 2 * a))
+        out.append(_cubic(-a * a * b, a * a + 2 * a * b, -2 * a - b, rng.randint(1, 2)))
+    return out
+
+
+def test_probe_conductor_matches_full_scan_on_random_orders():
+    # the p/p^2 rule: the probe's first failing conductor equals the first n
+    # of the scan over every n <= bound
+    randoms = _random_orders(29, 45) + _orders_with_disc_zero(31, 8)
+    assert sum(not discriminant(order) for order in randoms) >= 16
+    for order in randoms:
+        bound = 9 if order.rank == 2 else 5
+        found = nonmaximality_probe(order, bound)
+        assert (found and found.conductor) == _first_failing_conductor(order, bound), order

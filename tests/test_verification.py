@@ -91,6 +91,20 @@ for sub in (order_ideal(z2i, [(3, 0)]),  # an ideal, but 2 is not in it
 """
 
 
+NOT_P_MAXIMAL_BUT_CHAIN = """
+import sys
+import ringsieve.orders as orders
+from ringsieve.catalog import order_zi
+from ringsieve.errors import VerificationFailed
+
+orders._p_maximal = lambda order, p: False  # Z[i] is 2-maximal: Z[i]/4 is a chain ring
+try:
+    orders.nonmaximality_probe(order_zi(), 4)
+except VerificationFailed as exc:
+    print(f"optimize={sys.flags.optimize} raised: {exc}")
+"""
+
+
 def _run_optimized(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -116,6 +130,11 @@ def test_unconfirmed_triple_raises_under_optimize():
     assert _run_optimized(UNCONFIRMED_TRIPLE) == (
         "optimize=1 raised: pattern criterion disagrees with evaluation\n"
         "optimize=1 raised: triple tables disagree with the ideal masks\n")
+
+
+def test_probe_contradicting_the_p_maximality_test_raises_under_optimize():
+    assert _run_optimized(NOT_P_MAXIMAL_BUT_CHAIN) == (
+        "optimize=1 raised: O/4O is a chain-local product, but O is not 2-maximal\n")
 
 
 def test_push_off_the_kernel_raises_under_optimize():
