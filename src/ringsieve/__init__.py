@@ -28,18 +28,7 @@ from .errors import (
     VerificationFailed,
     ZeroRingRejected,
 )
-from .ideals import (
-    Ideal,
-    all_ideals,
-    annihilator,
-    ideal_generated,
-    ideal_intersect,
-    ideal_product,
-    ideal_sum,
-    lattice_op,
-    minimal_ideals,
-    zero_ideal,
-)
+from .ideals import Ideal, all_ideals, annihilator, ideal_generated, ideal_product
 from .intmat import SnfResult, hnf, snf
 from .localstruct import (
     ClassificationVerdict,

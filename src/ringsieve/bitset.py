@@ -33,13 +33,18 @@ SCAN_CHUNK = 8192  # ranks per numpy pass (divided by the mask width on the bitm
 HISTOGRAM_CELLS = 1 << 21  # cap on the histogram cells inclusion-exclusion keeps (8 MB)
 
 
-def _by_histograms(count: int, sizes) -> bool:
-    """Whether inclusion-exclusion scores a scan over ``count`` elements in
-    fewer estimated steps than bitmasks do, within HISTOGRAM_CELLS."""
+def _scan_path(count: int, sizes) -> str:
+    """How :func:`min_union_scan` scores a scan over ``count`` elements:
+    "hits" for one free position, else "histograms" when inclusion-exclusion
+    takes fewer estimated steps than "bitmasks", within HISTOGRAM_CELLS."""
+    if len(sizes) == 1:
+        return "hits"
     m, total = len(sizes), prod(sizes)
     cells = prod(s + 1 for s in sizes) - total
     words = -(-count // 64)
-    return cells <= HISTOGRAM_CELLS and 2**m * (count + total) + cells <= words * (m * total + sum(sizes))
+    if cells <= HISTOGRAM_CELLS and 2**m * (count + total) + cells <= words * (m * total + sum(sizes)):
+        return "histograms"
+    return "bitmasks"
 
 
 def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
@@ -51,8 +56,11 @@ def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
     tuple reaching the minimum wins.  Returns the minimum and its indices.
 
     The union misses the ``count`` elements outside ``base`` whose labels
-    avoid every chosen index.  Each chunk of ranks counts them one of two
-    exact ways, whichever :func:`_by_histograms` picks:
+    avoid every chosen index.  With one free position, base | L_0(i) has
+    n - count + hits[i] elements, hits the histogram of the labels outside
+    base, and the first minimum of hits is the answer.  Otherwise each
+    chunk of ranks counts them one of two exact ways, whichever
+    :func:`_scan_path` picks:
 
     * inclusion-exclusion, sum_S (-1)^|S| M_S(i_S) with M_S the joint
       histogram of the labels in S over those elements: proper subsets S
@@ -68,6 +76,11 @@ def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
     count = int(np.count_nonzero(outside))
     if count == 0 or 1 in sizes:  # base or a class is the whole carrier
         return n, (0,) * m
+    path = _scan_path(count, sizes)
+    if path == "hits":
+        hits = np.bincount(np.asarray(labels[0])[outside], minlength=sizes[0])
+        i = int(np.argmin(hits))
+        return n - count + int(hits[i]), (i,)
     dtype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
     free = [np.asarray(lab)[outside].astype(dtype) for lab in labels]
 
@@ -80,7 +93,7 @@ def min_union_scan(base_flags, labels, sizes) -> tuple[int, tuple[int, ...]]:
             weight *= sizes[j]
         return key
 
-    if _by_histograms(count, sizes):
+    if path == "histograms":
         step = SCAN_CHUNK
         own_rank = np.sort(joint(free, range(m), count))
         partial = []  # (positions, signed histogram) of every proper subset

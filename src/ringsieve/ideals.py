@@ -1,4 +1,4 @@
-"""Ideals of a finite ring: generation, full enumeration, lattice operations.
+"""Ideals of a finite ring: generation, full enumeration, the nilradical.
 
 An ideal is identified by its membership mask over the carrier; as an
 additive subgroup it is also carried as a full-rank integer lattice in the
@@ -10,12 +10,13 @@ mask view makes equality, intersection and containment single big-int ops.
 import itertools
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 import numpy as np
 
 from . import intmat
-from .bitset import flags_from_mask, is_subset, mask_from_indices
+from .bitset import is_subset, mask_from_indices
 from .errors import ValidationError, VerificationFailed
 from .rings import Element, FiniteRing
 
@@ -25,13 +26,20 @@ Lattice = tuple[tuple[int, ...], ...]
 class Ideal:
     """An ideal of a FiniteRing; immutable, equality by membership mask."""
 
-    __slots__ = ("ring", "lattice", "mask", "_generators")
+    __slots__ = ("ring", "lattice", "_mask", "_generators")
 
     def __init__(self, ring: FiniteRing, lattice: Lattice, _mask: int | None = None):
         self.ring = ring
         self.lattice = lattice
         self._generators: tuple[Element, ...] | None = None
-        self.mask = _mask if _mask is not None else mask_from_indices(ring.order, self.members)
+        self._mask = _mask
+
+    @property
+    def mask(self) -> int:
+        """Membership bitmask over the carrier, enumerated on first use."""
+        if self._mask is None:
+            self._mask = mask_from_indices(self.ring.order, self.members)
+        return self._mask
 
     @property
     def members(self) -> np.ndarray:
@@ -93,14 +101,6 @@ def _from_lattice(ring: FiniteRing, rows) -> Ideal:
     return Ideal(ring, intmat.hnf_full_rank(list(rows) + ring.diag_rows(), ring.k))
 
 
-def zero_ideal(ring: FiniteRing) -> Ideal:
-    return _from_lattice(ring, [])
-
-
-def unit_ideal(ring: FiniteRing) -> Ideal:
-    return _from_lattice(ring, [[1 if j == i else 0 for j in range(ring.k)] for i in range(ring.k)])
-
-
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing ``gens``.
 
@@ -115,13 +115,14 @@ def ideal_generated(ring: FiniteRing, gens) -> Ideal:
         if el.ring is not ring:
             raise ValidationError("generator belongs to a different ring")
         indices.append(el.index)
-    return _from_lattice(ring, _basis_products(ring, indices).reshape(-1, ring.k).tolist())
+    products = _basis_products(ring, ring._coords[indices])
+    return _from_lattice(ring, products.reshape(-1, ring.k).tolist())
 
 
-def _basis_products(ring: FiniteRing, indices) -> np.ndarray:
-    """(len(indices), k, k): row i of block t holds b_i * x for the carrier
-    element x = indices[t]; the rows of a block span the principal ideal (x)."""
-    return np.einsum("nj,ijl->nil", ring._coords[indices], ring._sc) % ring._df
+def _basis_products(ring: FiniteRing, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), k, k): row i of block t holds b_i * x for the element x
+    with coordinates rows[t]; the rows of a block span the principal ideal (x)."""
+    return np.einsum("nj,ijl->nil", rows, ring._sc) % ring._df
 
 
 def ideal_from_members(ring: FiniteRing, member_indices) -> Ideal:
@@ -139,67 +140,167 @@ def ideal_from_members(ring: FiniteRing, member_indices) -> Ideal:
 
 @dataclass(slots=True)
 class RingStructure:
-    """R's derived structure, read off its local factors eR.  No Element or Ideal
-    here would refer back to the ring, so a dropped ring is freed at once."""
+    """R's local factors eR and its nilradical J.  No Element or Ideal here
+    would refer back to the ring, so a dropped ring is freed at once."""
 
     idempotents: tuple[int, ...]  # carrier indices of the e
-    lattices: tuple[np.ndarray, ...]  # per eR: eR, then its proper nonzero principal ideals
-    units: np.ndarray  # carrier flags
+    factors: np.ndarray  # per e, the lattice of eR
+    radical: np.ndarray  # the lattice of J
+    maximal: np.ndarray  # per e, the lattice of e * J, the maximal ideal of eR
+    squares: np.ndarray  # per e, the lattice of e * J^2, the square of e * J
+    units: np.ndarray | None = None  # carrier flags, by localstruct.units_mask
     ideals: tuple | None = None  # (sorted (lattice, mask) pairs, join table), by all_ideals
 
 
 def ring_structure(ring: FiniteRing) -> RingStructure:
     """The ring's :class:`RingStructure`, built on first use.
 
-    R is the product of the eR, e a primitive idempotent (McDonald, *Finite
-    Rings with Identity*, 1974); eR holds the x with e * x = x.  The split
-    raises ``VerificationFailed`` unless the e are pairwise orthogonal and
-    sum to 1 and the |eR| multiply to |R|.  (y) is the same ideal in R and
-    in eR, so one ``hnf_mod`` batch per ``HNF_CHUNK`` members of all eR
-    gives the principal lattices; y is a unit of eR iff (y) has |eR|
-    elements, and x one of R iff every e * x is one of eR.
+    R is the product of the local rings eR, e a primitive idempotent
+    (McDonald, *Finite Rings with Identity*, 1974).  The maximal ideal of a
+    finite local ring is its nilradical, so that of eR is e * J.  No step
+    runs over the carrier but the search for idempotents.  The split raises
+    ``VerificationFailed`` unless the e are pairwise orthogonal and sum to
+    1, the |eR| multiply to |R|, the e are as many as R's local factors
+    (so no eR splits further; :func:`_nilradical` counts them), J is an
+    ideal and the |e * J| multiply to |J|.
     """
     if ring._structure is None:
         from . import localstruct  # which imports this module
 
         prim = [] if ring.is_zero else [e.index for e in localstruct.primitive_idempotents(ring)]
         d, coords, order = ring._df, ring._coords, ring.order
-        images, members = [], []
-        for i, mat in enumerate(_basis_products(ring, prim)):
-            image = (coords @ mat) % d @ ring._weights  # image[x] is e * x
-            if image[prim[i + 1:]].any():
-                raise VerificationFailed("idempotents are not pairwise orthogonal")
-            images.append(image)
-            members.append(np.flatnonzero(image == np.arange(order)))
+        times_e = _basis_products(ring, coords[prim])  # row i of block t is b_i * e_t
+        products = np.einsum("sj,tjl->stl", coords[prim], times_e) % d  # e_s * e_t
+        if np.triu(products.any(axis=2), 1).any():
+            raise VerificationFailed("idempotents are not pairwise orthogonal")
         if np.any((coords[prim].sum(axis=0) - ring.presentation.unit) % d):
             raise VerificationFailed("idempotents do not sum to 1")
-        sizes = [len(m) for m in members]
-        if prod(sizes) != order:
+        radical, local_factors = _nilradical(ring)
+        # eR, e * J and e * J^2 are spanned by the b_i, the rows J_i of J and
+        # the J_i * J_j (i <= j), each times e: one batch, padded with zero rows
+        k = ring.k
+        by_basis = _basis_products(ring, radical)  # row i of block t is b_i * J_t
+        square_rows = (np.einsum("rj,tjl->trl", radical, by_basis) % d)[_pairs(k)]
+        gens = [times_e, np.einsum("ej,rjl->erl", coords[prim], by_basis) % d,
+                np.einsum("qj,ejl->eql", square_rows, times_e) % d]
+        batch = np.zeros((3, len(prim), len(square_rows), k), dtype=np.int64)
+        for block, rows in zip(batch, gens):
+            block[:, :rows.shape[1]] = rows
+        factors, maximal, squares = _span(ring, batch.reshape(-1, len(square_rows), k)).reshape(
+            3, len(prim), k, k)
+        if prod((order // _lattice_index(factors)).tolist()) != order:
             raise VerificationFailed("factor orders do not multiply to |R|")
-        flat = np.concatenate([np.zeros(0, dtype=np.int64)] + members)
-        owner = np.repeat(np.arange(len(prim)), sizes)
-        is_unit = np.empty(len(flat), dtype=bool)
-        found = [{} for _ in prim]  # per factor, lattice key -> None
-        for lo in range(0, len(flat), intmat.HNF_CHUNK):
-            rows = _basis_products(ring, flat[lo:lo + intmat.HNF_CHUNK])
-            lats = intmat.hnf_mod(np.broadcast_to(np.diag(d), rows.shape), rows, d)
-            part = owner[lo:lo + len(lats)]
-            is_unit[lo:lo + len(lats)] = _lattice_index(lats) == order // np.take(sizes, part)
-            for f, key in zip(part.tolist(), intmat.lattice_keys(lats)):
-                found[f][key] = None
-        units = np.ones(order, dtype=bool)
-        per_factor = []
-        for image, member, flags, keys, size in zip(
-                images, members, np.split(is_unit, np.cumsum(sizes)[:-1]), found, sizes):
-            factor_units = np.zeros(order, dtype=bool)
-            factor_units[member] = flags
-            units &= factor_units[image]
-            lattices = _from_keys(keys, ring.k)
-            index = _lattice_index(lattices)
-            whole, zero = index == order // size, index == order  # eR, and 0
-            per_factor.append(np.concatenate([lattices[whole], lattices[~whole & ~zero]]))
-        ring._structure = RingStructure(tuple(prim), tuple(per_factor), units)
+        if 0 in prim or len(prim) != local_factors:
+            raise VerificationFailed("decomposition produced a non-local factor")
+        basis = radical.tolist()
+        if not all(intmat.lattice_contains(basis, row) for row in by_basis.reshape(-1, k).tolist()):
+            raise VerificationFailed("the radical of R is not an ideal")
+        if prod((order // _lattice_index(maximal)).tolist()) != order // intmat.lattice_det(radical):
+            raise VerificationFailed("the radical does not split over the factors")
+        ring._structure = RingStructure(tuple(prim), factors, radical, maximal, squares)
     return ring._structure
+
+
+@cache
+def _pairs(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The index pairs i <= j below k, as two index tuples."""
+    return tuple(zip(*[(i, j) for i in range(k) for j in range(i, k)]))
+
+
+def _nilradical(ring: FiniteRing) -> tuple[np.ndarray, int]:
+    """The HNF lattice of J, the nilpotent elements of R, and the number of
+    R's local factors.
+
+    x lies in J iff its image in R/pR is nilpotent for every prime p | d_k.
+    R/pR is the F_p-algebra on the coordinates l with p | d_l (the others
+    vanish mod p), and the preimage L_p of its radical holds pZ^k; so with
+    r the product of the primes, J = sum over p of (r/p) L_p.  R/pR has one
+    local factor per local factor of R of residue characteristic p.
+    """
+    d, k = ring._df, ring.k
+    primes = _prime_divisors(int(d[-1]))
+    r = prod(primes)
+    rows, local_factors = [r * np.eye(k, dtype=np.int64)], 0
+    for p in primes:
+        s = int(np.count_nonzero(d % p))  # the coordinates p does not divide come first
+        radical, count = _radical_mod_p(ring._sc[s:, s:, s:] % p, p)
+        lifted = np.zeros((s + len(radical), k), dtype=np.int64)
+        lifted[:s, :s] = np.eye(s, dtype=np.int64)
+        lifted[s:, s:] = np.reshape(radical, (-1, k - s))
+        rows.append(r // p * lifted)
+        local_factors += count
+    return _span(ring, np.concatenate(rows)[None])[0], local_factors
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] * (n > 1)
+
+
+def _radical_mod_p(sc, p: int) -> tuple[list[list[int]], int]:
+    """Rows spanning, mod p, the nilradical of the commutative F_p-algebra
+    with structure constants ``sc`` (m x m x m, entries in [0, p)), and the
+    number of its local factors.
+
+    x -> x^p is F_p-linear, and the rows of its matrix F are the b_i^p, by
+    square and multiply.  The radical is the kernel of x -> x^q = x F^j,
+    q = p^j >= m (Cohen, GTM 138, 6.1).  In a local F_p-algebra the roots
+    of X^p - X are F_p, so the kernel of F - I has one dimension per local
+    factor.  Entries stay below m p^2 in int64, or are Python integers past
+    that.
+    """
+    m = len(sc)
+    dtype = np.int64 if m * p * p < 2**63 else object
+    flat = np.array(sc, dtype=dtype).reshape(m, m * m)
+
+    def mul(x, y):  # row t of the result is x[t] * y[t]
+        return np.einsum("tj,tjl->tl", y, (x @ flat).reshape(m, m, m) % p) % p
+
+    frob, square, e = None, np.eye(m, dtype=dtype), p
+    while True:
+        if e & 1:
+            frob = square if frob is None else mul(frob, square)
+        e >>= 1
+        if not e:
+            break
+        square = mul(square, square)
+    power, q = frob, p
+    while q < m:
+        power, q = power @ frob % p, q * p
+    fixed = _left_kernel_mod_p((frob - np.eye(m, dtype=dtype)).tolist(), p)
+    return _left_kernel_mod_p(power.tolist(), p), len(fixed)
+
+
+def _left_kernel_mod_p(a: list[list[int]], p: int) -> list[list[int]]:
+    """Rows spanning {u : u a = 0 mod p}: row-reduce [a | I] mod p, and the
+    rows whose a-part vanishes carry the kernel in their I-part."""
+    m = len(a)
+    rows = [[x % p for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    rank = 0
+    for c in range(m):
+        pivot = next((r for r in range(rank, m) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], -1, p)
+        top = rows[rank] = [x * inverse % p for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[c]:
+                rows[r] = [(x - row[c] * y) % p for x, y in zip(row, top)]
+        rank += 1
+    return [row[m:] for row in rows[rank:]]
+
+
+def _span(ring: FiniteRing, rows: np.ndarray) -> np.ndarray:
+    """HNF bases of the lattices spanned by each block of ``rows`` (B x m x k) and diag(d)."""
+    k, d = ring.k, ring._df
+    return intmat.hnf_mod(np.broadcast_to(np.diag(d), (len(rows), k, k)), rows, d)
 
 
 def _lattice_index(lattices: np.ndarray) -> np.ndarray:
@@ -234,7 +335,7 @@ def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[tuple[Lattice, int], ...]
     structure = ring_structure(ring)
     if structure.ideals is None:
         d = ring._df
-        factors = [_factor_ideals(lattices, d) for lattices in structure.lattices]
+        factors = [_factor_ideals(lattices, d) for lattices in _principal_lattices(ring)]
         n = prod(len(lattices) for lattices, _ in factors)
         dtype = np.min_scalar_type(n - 1)
         sums, joins = np.diag(d)[None], np.zeros((1, 1), dtype=dtype)  # the zero ring's one ideal
@@ -264,6 +365,29 @@ def _ideals_and_joins(ring: FiniteRing) -> tuple[tuple[tuple[Lattice, int], ...]
     return structure.ideals
 
 
+def _principal_lattices(ring: FiniteRing) -> list[np.ndarray]:
+    """Per factor eR: eR, then its proper nonzero principal lattices.  (y)
+    is the same ideal in R and in eR, and a unit y of eR generates eR, so
+    one ``hnf_mod`` batch per ``HNF_CHUNK`` members of all the maximal
+    ideals e * J gives them."""
+    structure = ring_structure(ring)
+    members = [_lattice_members(ring, m) for m in structure.maximal]
+    sizes = [len(m) for m in members]
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + members)
+    owner = np.repeat(np.arange(len(members)), sizes)
+    found = [{} for _ in members]  # per factor, lattice key -> None
+    for lo in range(0, len(flat), intmat.HNF_CHUNK):
+        lats = _span(ring, _basis_products(ring, ring._coords[flat[lo:lo + intmat.HNF_CHUNK]]))
+        for f, key in zip(owner[lo:lo + len(lats)].tolist(), intmat.lattice_keys(lats)):
+            found[f][key] = None
+    per_factor = []
+    for whole, keys in zip(structure.factors, found):
+        lattices = _from_keys(keys, ring.k)
+        proper = lattices[_lattice_index(lattices) != ring.order]  # all but 0
+        per_factor.append(np.concatenate([whole[None], proper]))
+    return per_factor
+
+
 def _factor_ideals(principal: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ideals of a factor eR (0, eR, then the rest) and their join
     table, from ``principal``: eR, then its proper nonzero principal
@@ -291,25 +415,13 @@ def _factor_ideals(principal: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np
     return lattices, join
 
 
-def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
-    _same_ring(i, j)
-    return Ideal(i.ring, intmat.lattice_sum(i.lattice, j.lattice, i.ring.k))
-
-
-def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
-    _same_ring(i, j)
-    mask = i.mask & j.mask
-    members = i.ring._coords[flags_from_mask(i.ring.order, mask)].tolist()
-    lat = intmat.hnf_full_rank(members + i.ring.diag_rows(), i.ring.k)
-    return Ideal(i.ring, lat, _mask=mask)
-
-
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     """Ideal generated by pairwise products of members (via lattice rows)."""
-    _same_ring(i, j)
+    if i.ring is not j.ring:
+        raise ValidationError("ideals belong to different rings")
     ring = i.ring
     d = ring._df
-    mats = _basis_products(ring, [ring.index_of(a) for a in i.lattice])  # mats[a][l] = b_l * a
+    mats = _basis_products(ring, np.array(i.lattice, dtype=np.int64))  # mats[a][l] = b_l * a
     rows = np.einsum("bl,alm->abm", np.array(j.lattice, dtype=np.int64) % d, mats) % d
     return _from_lattice(ring, rows.reshape(-1, ring.k).tolist())
 
@@ -317,42 +429,8 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
 def annihilator(i: Ideal) -> Ideal:
     """{x : x * I = 0}, found by scanning the carrier against the lattice rows."""
     ring = i.ring
-    mats = _basis_products(ring, [ring.index_of(row) for row in i.lattice])
+    mats = _basis_products(ring, np.array(i.lattice, dtype=np.int64))
     prods = np.einsum("nj,gjl->ngl", ring._coords, mats) % ring._df  # prods[x, g] = x * g
     members = np.nonzero(~prods.any(axis=(1, 2)))[0]
     lat = intmat.hnf_full_rank(ring._coords[members].tolist() + ring.diag_rows(), ring.k)
     return Ideal(ring, lat, _mask=mask_from_indices(ring.order, members))
-
-
-def lattice_op(kind: str, ring: FiniteRing, i: Ideal, j: Ideal | None = None) -> Ideal:
-    """Dispatch: sum | intersect | product (binary) or annihilator (unary)."""
-    if i.ring is not ring or (j is not None and j.ring is not ring):
-        raise ValidationError("ideal does not belong to this ring")
-    if kind == "annihilator":
-        if j is not None:
-            raise ValueError("annihilator is unary")
-        return annihilator(i)
-    if j is None:
-        raise ValueError(f"{kind} needs two ideals")
-    if kind == "sum":
-        return ideal_sum(i, j)
-    if kind == "intersect":
-        return ideal_intersect(i, j)
-    if kind == "product":
-        return ideal_product(i, j)
-    raise ValueError(f"unknown lattice op {kind!r}")
-
-
-def minimal_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Nonzero ideals with no nonzero ideal strictly below them."""
-    ideals = [i for i in all_ideals(ring) if i.size > 1]
-    out = []
-    for cand in ideals:
-        if not any(o.size < cand.size and is_subset(o.mask, cand.mask) for o in ideals):
-            out.append(cand)
-    return out
-
-
-def _same_ring(i: Ideal, j: Ideal):
-    if i.ring is not j.ring:
-        raise ValidationError("ideals belong to different rings")

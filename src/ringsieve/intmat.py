@@ -16,6 +16,7 @@ from .errors import RankDeficient
 Matrix = list[list[int]]
 
 HNF_CHUNK = 256  # lattices per hnf_mod call from lattice_pair_sums or the ideals module
+EUCLID_SCALAR = 32  # up to this many lattices, an hnf_mod step runs xgcd on Python integers
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -136,7 +137,15 @@ def _euclid_matrices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unimodular 2 x 2 matrices [[x, y], [s, t]] with a*x + b*y = gcd(a, b)
     and a*s + b*t = 0, per entry of the int64 arrays ``a`` > 0 and ``b`` >= 0
     (the identity where b = 0): elementwise :func:`xgcd`, reducing each
-    remainder by the other in turn until one of them is 0."""
+    remainder by the other in turn until one of them is 0.  Up to
+    EUCLID_SCALAR entries, where numpy's cost per call would dominate, it is
+    :func:`xgcd` itself, with [s, t] = [-b, a] / gcd(a, b)."""
+    if len(a) <= EUCLID_SCALAR:
+        rows = []
+        for p, q in zip(a.tolist(), b.tolist()):
+            g, x, y = xgcd(p, q)
+            rows.append(((x, y), (-q // g, p // g)))
+        return np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
     m = np.zeros((2, 3, len(a)), dtype=np.int64)  # rows (r, x, y) with r = a*x + b*y
     m[0, 0], m[1, 0], m[0, 1], m[1, 2] = a, b, 1, 1
     r0, r1 = m[0, 0], m[1, 0]

@@ -3,7 +3,7 @@
 A finite commutative ring R splits along its primitive idempotents e into
 the local factors eR; the classification predicate asks every factor to
 have linearly ordered ideals.  Each factor is decided as the ideal eR of
-R itself, from R's unit flags: no factor ring is built here, and
+R itself, from R's nilradical J: no factor ring is built here, and
 rogers.counterexample builds one (R / (1 - e)R) only for the factor its
 witness lives in, and none when R is local.
 """
@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import intmat
-from .errors import VerificationFailed, ZeroRingRejected
-from .ideals import Ideal, ideal_product, ring_structure, unit_ideal
+from .errors import ZeroRingRejected
+from .ideals import Ideal, _basis_products, _lattice_index, _lattice_members, ring_structure
 from .rings import Element, FiniteRing
 
 IDEMPOTENT_CHUNK = 1 << 12  # idempotent pairs per batched product in primitive_idempotents
@@ -26,9 +25,10 @@ class LocalDecomposition:
 
     The split is re-verified on R whenever the ring's structure is built
     (the e_i pairwise orthogonal and summing to 1, the |e_i R| multiplying
-    to |R|), and here every e_i R is checked local, so x -> (e_i x) is an isomorphism of R onto the
-    product of the e_i R.  ``maximal_ideals[i]`` is the maximal ideal of
-    e_i R (its non-units), found by the locality check.
+    to |R|, as many e_i as R has local factors), so every e_i R is local and
+    x -> (e_i x) is an isomorphism of R onto the product of the e_i R.
+    ``maximal_ideals[i]`` is the maximal ideal e_i J of e_i R, J the
+    nilradical of R.
     """
 
     ring: FiniteRing
@@ -84,59 +84,46 @@ def primitive_idempotents(ring: FiniteRing) -> list[Element]:
 
 
 def units_mask(ring: FiniteRing) -> np.ndarray:
-    """Boolean carrier array marking units: x is a unit exactly when every
-    e * x is a unit of its factor eR, read off the ring's structure.
-    (Agrees with a pairwise product scan; the tests check that.)
+    """Boolean carrier array marking units: x is a unit exactly when no
+    e * x lies in the nilradical J.  Built on first use and kept in the
+    ring's structure.  (Agrees with a pairwise product scan; the tests
+    check that.)
     """
-    return ring_structure(ring).units.copy()
+    structure = ring_structure(ring)
+    if structure.units is None:
+        d, coords = ring._df, ring._coords
+        nilpotent = np.zeros(ring.order, dtype=bool)
+        nilpotent[_lattice_members(ring, structure.radical)] = True
+        units = np.ones(ring.order, dtype=bool)
+        for mat in _basis_products(ring, coords[list(structure.idempotents)]):
+            units &= ~nilpotent[(coords @ mat) % d @ ring._weights]  # e * x
+        structure.units = units
+    return structure.units.copy()
 
 
 def is_local(ring: FiniteRing) -> tuple[bool, Ideal | None]:
-    """True iff the non-units form an ideal; returns that ideal when they do."""
+    """True iff the non-units form an ideal; returns that ideal, the
+    nilradical, when they do."""
     _reject_zero(ring)
-    if len(ring_structure(ring).idempotents) > 1:
-        return False, None
-    maximal = _maximal_ideal(unit_ideal(ring), ring.unit, units_mask(ring))
-    return maximal is not None, maximal
-
-
-def _maximal_ideal(factor: Ideal, e: Element, units: np.ndarray) -> Ideal | None:
-    """The non-units of the factor eR when they form an ideal (eR is then
-    local), else None; ``units`` marks the units of R.
-
-    x in eR is a unit of eR iff x + (1 - e) is a unit of R, and the ideals
-    of R inside eR are exactly the ideals of eR.  The non-units generate
-    the sum of the proper nonzero principal ideals of eR, summed in halves.
-    """
-    ring = factor.ring
-    nonunits = np.count_nonzero(~units[ring.add_to_all((ring.unit - e).index, factor.members)])
     structure = ring_structure(ring)
-    lattices = structure.lattices[structure.idempotents.index(e.index)][1:]
-    if not len(lattices):
-        lattices = np.diag(ring._df)[None]  # eR is a field, m = 0
-    while len(lattices) > 1:
-        half = len(lattices) // 2
-        sums = intmat.hnf_mod(lattices[:half], lattices[half:2 * half], ring._df)
-        lattices = np.concatenate([sums, lattices[2 * half:]])
-    closure = Ideal(ring, tuple(map(tuple, lattices[0].tolist())))
-    return closure if closure.size == nonunits else None
+    if len(structure.idempotents) > 1:
+        return False, None
+    return True, _ideal(ring, structure.radical)
+
+
+def _ideal(ring: FiniteRing, lattice: np.ndarray) -> Ideal:
+    return Ideal(ring, tuple(map(tuple, lattice.tolist())))
 
 
 def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
-    """The split the ring's structure verified, each factor checked local."""
+    """The split the ring's structure verified, with each factor's maximal ideal."""
     _reject_zero(ring)
     structure = ring_structure(ring)
-    units = units_mask(ring)
-    idempotents = [ring.element_at(e) for e in structure.idempotents]
-    factors = [Ideal(ring, tuple(map(tuple, f[0].tolist()))) for f in structure.lattices]
-    maximals = [_maximal_ideal(f, e, units) for f, e in zip(factors, idempotents)]
-    if any(m is None for m in maximals):
-        raise VerificationFailed("decomposition produced a non-local factor")
     return LocalDecomposition(
         ring=ring,
-        idempotents=tuple(idempotents),
-        factor_ideals=tuple(factors),
-        maximal_ideals=tuple(maximals),
+        idempotents=tuple(ring.element_at(e) for e in structure.idempotents),
+        factor_ideals=tuple(_ideal(ring, f) for f in structure.factors),
+        maximal_ideals=tuple(_ideal(ring, m) for m in structure.maximal),
     )
 
 
@@ -145,13 +132,17 @@ def classify(ring: FiniteRing) -> ClassificationVerdict:
 
     A finite local ring has linearly ordered ideals iff its maximal ideal
     m is principal (Clark-Drake 1973; McDonald 1974, ch. XVII), which by
-    Nakayama's lemma holds iff |m|^2 <= |eR| * |m^2|.
+    Nakayama's lemma holds iff |m|^2 <= |eR| * |m^2|.  For eR, m = e * J
+    and m^2 = e * J^2, with J the nilradical, both read off the ring's
+    structure.
     """
     decomp = local_decomposition(ring)
+    squares = ring.order // _lattice_index(ring_structure(ring).squares)
     per_factor = []
     offending = None
-    for idx, (factor, maximal) in enumerate(zip(decomp.factor_ideals, decomp.maximal_ideals)):
-        chain = maximal.size ** 2 <= factor.size * ideal_product(maximal, maximal).size
+    for idx, (factor, maximal, square) in enumerate(
+            zip(decomp.factor_ideals, decomp.maximal_ideals, squares.tolist())):
+        chain = maximal.size ** 2 <= factor.size * square
         per_factor.append((idx, True, chain))
         if not chain and offending is None:
             offending = idx

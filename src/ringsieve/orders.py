@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     VerificationFailed,
 )
-from .ideals import Ideal, ideal_generated
+from .ideals import Ideal, _radical_mod_p, ideal_generated
 from .localstruct import classify
 from .rings import Element, FiniteRing, canonical_quotient, project
 from .rogers import RogersReport, Witness, _witness_from_verdict, rogers_check
@@ -181,21 +181,15 @@ def _p_maximal(order: Order, p: int) -> bool:
     """True iff the order is p-maximal, for disc(O) != 0 (Pohst-Zassenhaus;
     Cohen, GTM 138, Thm 6.1.3 and Alg. 6.1.8).
 
-    The radical I_p of pO is the kernel of the F_p-linear x -> x^q on O/pO,
-    q = p^j >= n.  (I_p : I_p) = (1/p){x : x I_p <= p I_p} equals O iff
+    The radical I_p of pO is the preimage of the nilradical of O/pO, which
+    the ring structure's kernel computes from O's table mod p.
+    (I_p : I_p) = (1/p){x : x I_p <= p I_p} equals O iff
     x -> (y -> xy on I_p/pI_p) has rank n over F_p; integer rows of length
     m and rank r over F_p, stacked on p*I_m, span a lattice of index p^(m - r).
     """
-    n, q = order.rank, p
-    while q < n:
-        q *= p
-    powers = []
-    for b in order.basis:
-        x = b
-        for _ in range(q - 1):
-            x = tuple(c % p for c in order.mul(x, b))
-        powers.append(list(x))
-    radical = intmat.hnf_full_rank([u[:n] for u in intmat.kernel(powers + _diagonal(p, n))], n)
+    n = order.rank
+    table = [[[c % p for c in order._table[i][j]] for j in range(n)] for i in range(n)]
+    radical = intmat.hnf_full_rank(_radical_mod_p(table, p)[0] + _diagonal(p, n), n)
     rows = []
     for b in order.basis:
         row = []

@@ -175,10 +175,6 @@ class FiniteRing:
         el._index = index
         return el
 
-    def elements(self):
-        for i in range(self.order):
-            yield self.element_at(i)
-
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, x: Element, y: Element) -> Element:

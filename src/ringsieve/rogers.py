@@ -36,6 +36,7 @@ from .ideals import (
     annihilator,
     ideal_generated,
     ideal_from_members,
+    ideal_product,
     join_table,
 )
 from .localstruct import ClassificationVerdict, classify, is_local
@@ -271,7 +272,11 @@ def _local_witness(ring: FiniteRing, maximal: Ideal) -> Witness:
         pass
     socle = annihilator(maximal)
     quotient, proj = make_quotient(ring, socle)  # socle = unique minimal ideal here
-    inner = counterexample(quotient)
+    # R/socle is local with maximal ideal m/socle, which must not be principal
+    image = ideal_generated(quotient, [proj(ring.element(row)) for row in maximal.lattice])
+    if image.size ** 2 <= quotient.order * ideal_product(image, image).size:
+        raise VerificationFailed("R/socle has a principal maximal ideal")
+    inner = _local_witness(quotient, image)
     shifts = tuple(proj.smallest_preimage(s) for s in inner.shifts)
     return _pull_back(ring, proj, inner, shifts)
 

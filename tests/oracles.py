@@ -305,7 +305,7 @@ def image_by_lifts(ring, lift, basis) -> int:
 
 def hom_carrier_map(hom) -> list[int]:
     """Target index of hom(x) for every source carrier index x."""
-    return [hom(x).index for x in hom.source.elements()]
+    return [hom(hom.source.element_at(x)).index for x in range(hom.source.order)]
 
 
 def hom_is_bijective(hom) -> bool:
@@ -340,6 +340,23 @@ def subgroup_sum(ring, x, y) -> frozenset:
         if b not in out:
             out |= {ring.add_idx(a, b) for a in x}
     return frozenset(out)
+
+
+def mask_members(mask: int) -> frozenset:
+    """The carrier indices whose bits are set in ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def ideal_sum_mask(ring, a: int, b: int) -> int:
+    """Mask of I + J, from the masks of I and J, as the subgroup sum of their members."""
+    return sum(1 << x for x in subgroup_sum(ring, mask_members(a), mask_members(b)))
+
+
+def minimal_ideals(ideals) -> list:
+    """The nonzero ideals (mask other than {0}) with no nonzero ideal strictly inside."""
+    nonzero = [i for i in ideals if i.mask != 1]
+    return [i for i in nonzero
+            if not any(j.mask != i.mask and j.mask & ~i.mask == 0 for j in nonzero)]
 
 
 def triple_is_satisfied(ring, s1, s2, s3) -> bool:
@@ -387,6 +404,32 @@ def product_by_python_ints(ring, i, j) -> int:
         for l, c in enumerate(vec):
             out[l] += x[p] * y[q] * c
     return ring.index_of(out)
+
+
+def nilpotents_by_powers(ring) -> set[int]:
+    """Carrier indices x with x^(2^t) = 0, where 2^t exceeds log2 |R| + 1
+    (x R > x^2 R > ... halves at each step, so a nilpotent's index is at
+    most that); each square in Python integers from the structure constants."""
+    pres, k, d = ring.presentation, ring.k, ring.invariant_factors
+    table = [(p, q, vec) for (p, q), vec in pres.structure_constants.items()]
+
+    def square(x):
+        out = [0] * k
+        for p, q, vec in table:
+            c = x[p] * x[q] * (1 if p == q else 2)
+            for l, v in enumerate(vec):
+                out[l] += c * v
+        return tuple(v % m for v, m in zip(out, d))
+
+    steps = (ring.order.bit_length() + 1).bit_length()
+    found = set()
+    for i in range(ring.order):
+        x = ring.coords_of(i)
+        for _ in range(steps):
+            x = square(x)
+        if not any(x):
+            found.add(i)
+    return found
 
 
 def primitive_idempotents_pairwise(ring, candidates=None) -> list[int]:

@@ -246,6 +246,25 @@ def test_hnf_mod_matches_hnf(data):
     assert got.tolist() == [hnf(b + r) for b, r in zip(bases, rows)]
 
 
+@pytest.mark.parametrize("scalar", [0, 8])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_hnf_mod_matches_hnf_on_either_euclid_path(scalar, data):
+    # batches up to EUCLID_SCALAR lattices take their Euclid steps in Python
+    # integers, larger ones in numpy; 0 forces numpy on every batch
+    d = data.draw(divisor_chains())
+    k = len(d)
+    batch, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    bases = [data.draw(lattices_containing(d)) for _ in range(batch)]
+    rows = [_vectors(data.draw, d, m) for _ in range(batch)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intmat, "EUCLID_SCALAR", scalar)
+        got = hnf_mod(np.array(bases, dtype=np.int64),
+                      np.array(rows, dtype=np.int64).reshape(batch, m, k),
+                      np.array(d, dtype=np.int64))
+    assert got.tolist() == [hnf(b + r) for b, r in zip(bases, rows)]
+
+
 @given(data=st.data(), chunk=st.integers(1, 7))
 @settings(max_examples=60, deadline=None)
 def test_pair_sums_match_hnf_across_chunks(data, chunk):

@@ -13,7 +13,6 @@ from ringsieve.ideals import (
     annihilator,
     ideal_generated,
     ideal_product,
-    minimal_ideals,
 )
 from ringsieve.localstruct import (
     classify,
@@ -197,7 +196,7 @@ def test_minimal_ideals_live_in_the_socle():
         ok, maximal = is_local(ring)
         assert ok
         socle = annihilator(maximal)
-        for minimal in minimal_ideals(ring):
+        for minimal in oracles.minimal_ideals(all_ideals(ring)):
             assert is_subset(minimal.mask, socle.mask)
             assert ideal_product(maximal, minimal).size == 1
 

@@ -4,7 +4,8 @@ Every comparison checks the first-minimizing shifts as well as the
 minimum, and the chunked variants shrink the kernel's chunk so that one
 scan crosses many chunk boundaries.  ``path`` pins the kernel to one of its
 two ways of scoring a chunk, inclusion-exclusion over label histograms or
-OR-ed bitmasks.
+OR-ed bitmasks, or leaves it its own choice, which takes the label
+histogram of the one free position whenever there is only one.
 """
 
 import tracemalloc
@@ -38,7 +39,11 @@ RINGS = [
     make_product([finite_field(4), make_cyclic(4)])[0],
 ]
 MAX_TUPLES = 2000  # keeps the one-tuple-at-a-time oracle fast
-PATHS = {"histograms": lambda count, sizes: True, "bitmasks": lambda count, sizes: False}
+PATHS = {
+    "histograms": lambda count, sizes: "histograms",
+    "bitmasks": lambda count, sizes: "bitmasks",
+    "hits": bitset._scan_path,
+}
 
 
 def _draw_tuple(data, length):
@@ -83,7 +88,7 @@ def test_ring_scan_across_chunk_boundaries(path, data, chunk):
     ring, ideals = _draw_tuple(data, data.draw(st.integers(2, 5)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bitset, "SCAN_CHUNK", chunk)
-        mp.setattr(bitset, "_by_histograms", PATHS[path])
+        mp.setattr(bitset, "_scan_path", PATHS[path])
         _assert_ring_scan_matches(ring, ideals)
 
 
@@ -104,7 +109,7 @@ def test_kernel_matches_rank_order_oracle_on_any_partition(path, data, chunk):
                for lab, s in zip(labels, sizes)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bitset, "SCAN_CHUNK", chunk)
-        mp.setattr(bitset, "_by_histograms", PATHS[path])
+        mp.setattr(bitset, "_scan_path", PATHS[path])
         got = bitset.min_union_scan(base_flags, labels, sizes)
     assert got == oracles.first_minimizer_in_rank_order(base, choices)
 

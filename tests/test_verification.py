@@ -18,17 +18,22 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-BROKEN_DECOMPOSITION = """
+CORRUPTED_RADICAL = """
 import sys
-import ringsieve.localstruct as localstruct
+import ringsieve.ideals as ideals
+import ringsieve.orders as orders
+from ringsieve.catalog import dual_numbers, order_zi
 from ringsieve.errors import VerificationFailed
-from ringsieve.rings import make_cyclic
+from ringsieve.localstruct import local_decomposition
 
-localstruct._maximal_ideal = lambda factor, e, units: None  # every factor reads as non-local
-try:
-    localstruct.local_decomposition(make_cyclic(6))
-except VerificationFailed as exc:
-    print(f"optimize={sys.flags.optimize} raised: {exc}")
+# the line through 1 is no ideal of F_2[x]/(x^2), nor of Z[i]/2Z[i]
+ideals._radical_mod_p = orders._radical_mod_p = lambda sc, p: ([[1, 0]], 1)
+for check in (lambda: local_decomposition(dual_numbers(2)),
+              lambda: orders._p_maximal(order_zi(), 2)):
+    try:
+        check()
+    except VerificationFailed as exc:
+        print(f"optimize={sys.flags.optimize} raised: {exc}")
 """
 
 
@@ -115,8 +120,9 @@ def _run_optimized(script: str) -> str:
 
 
 def test_broken_reverification_raises_under_optimize():
-    assert _run_optimized(BROKEN_DECOMPOSITION) == (
-        "optimize=1 raised: decomposition produced a non-local factor\n")
+    assert _run_optimized(CORRUPTED_RADICAL) == (
+        "optimize=1 raised: the radical of R is not an ideal\n"
+        "optimize=1 raised: the radical of 2O is not an ideal\n")
 
 
 def test_broken_idempotents_raise_under_optimize():
